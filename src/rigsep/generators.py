@@ -87,7 +87,9 @@ def _check_size(kind: str, size: int):
         raise ValueError(f"{kind} size must be in [{lo}, {hi}], got {size}")
 
 
-def _random_segments(n: int, seed: int) -> PolylineArrangement:
+def _random_segments(n: int, seed: int):
+    """A clean arrangement of n random segments and its (rig, base,
+    assign); redraws batches with a repeated endpoint or an overlap."""
     for attempt in range(64):
         rng = substream(seed, "segments", attempt)
         coords = rng.integers(0, SNAP + 1, size=(n, 4))
@@ -104,10 +106,10 @@ def _random_segments(n: int, seed: int) -> PolylineArrangement:
             continue
         arr = PolylineArrangement(tuple(strings))
         try:
-            string_graph_from_polylines(arr)
+            built = string_graph_from_polylines(arr)
         except ValueError:
             continue  # collinear overlap; redraw the batch
-        return arr
+        return arr, built
     raise RuntimeError("could not draw a clean segment arrangement")
 
 
@@ -170,8 +172,7 @@ def generate(kind: str, size: int, seed: int = 0) -> Instance:
     if kind == "grid":
         return Instance(kind, size, seed, grid_graph(size, 2))
     if kind == "random-segments":
-        arr = _random_segments(size, seed)
-        rig, _, _ = string_graph_from_polylines(arr)
+        arr, (rig, _, _) = _random_segments(size, seed)
         return Instance(kind, size, seed, rig, polylines=arr)
     if kind == "planar-triangulation":
         return Instance(kind, size, seed, _delaunay_graph(size, seed))

@@ -38,7 +38,7 @@ class Graph:
         Edge list.  Loops and duplicate edges are rejected.
     """
 
-    __slots__ = ("_n", "_edges", "_adj", "_adj_masks")
+    __slots__ = ("_n", "_edges", "_adj", "_adj_masks", "_arrays")
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]] = ()):
         if not isinstance(n, (int, np.integer)) or n < 0:
@@ -63,6 +63,7 @@ class Graph:
         self._edges = tuple(sorted(seen))
         self._adj = tuple(tuple(sorted(nb)) for nb in adj)
         self._adj_masks = None
+        self._arrays = None
 
     @property
     def n(self) -> int:
@@ -101,6 +102,25 @@ class Graph:
                 masks.append(m)
             self._adj_masks = tuple(masks)
         return self._adj_masks
+
+    def _structure(self):
+        """``(eu, ev, adj)``, built once on first use: the endpoint arrays
+        of the sorted edge list (``eu < ev``) and the symmetric 0/1
+        adjacency CSR.  Subgraph primitives slice the endpoint arrays by
+        position mask; whole-graph components and the Laplacian read
+        ``adj``.
+        """
+        if self._arrays is None:
+            ends = np.asarray(self._edges, dtype=np.intp).reshape(-1, 2)
+            eu, ev = ends[:, 0].copy(), ends[:, 1].copy()
+            eu.flags.writeable = ev.flags.writeable = False
+            adj = csr_matrix(
+                (np.ones(2 * eu.size), (np.concatenate([eu, ev]),
+                                        np.concatenate([ev, eu]))),
+                shape=(self._n, self._n),
+            )
+            self._arrays = (eu, ev, adj)
+        return self._arrays
 
     def __eq__(self, other) -> bool:
         return (
@@ -224,18 +244,33 @@ class SubgraphView:
         return self.vertices[local_id]
 
 
+def _vertex_array(graph: Graph, vertices) -> np.ndarray:
+    """Sorted distinct vertex ids as an index array; all of them for None."""
+    if vertices is None:
+        return np.arange(graph.n)
+    vs = np.asarray(sorted({int(v) for v in vertices}), dtype=np.intp)
+    if vs.size and (vs[0] < 0 or vs[-1] >= graph.n):
+        raise ValueError("subset out of range")
+    return vs
+
+
+def _induced_edges(graph: Graph, vs: np.ndarray):
+    """Local endpoint arrays of the edges induced on the sorted vertex
+    array ``vs``, still in sorted edge order.  Each edge appears once;
+    csgraph's ``directed=False`` reads it both ways."""
+    eu, ev, _ = graph._structure()
+    pos = np.full(graph.n, -1, dtype=np.intp)
+    pos[vs] = np.arange(vs.size)
+    lu, lv = pos[eu], pos[ev]
+    keep = (lu >= 0) & (lv >= 0)
+    return lu[keep], lv[keep]
+
+
 def induced_subgraph(graph: Graph, vertices: Iterable[int]) -> SubgraphView:
-    vs = sorted({int(v) for v in vertices})
-    for v in vs:
-        if not 0 <= v < graph.n:
-            raise ValueError(f"vertex {v} out of range")
-    pos = {v: i for i, v in enumerate(vs)}
-    edges = [
-        (pos[u], pos[v])
-        for u, v in graph.edges
-        if u in pos and v in pos
-    ]
-    return SubgraphView(Graph(len(vs), edges), tuple(vs))
+    vs = _vertex_array(graph, vertices)
+    lu, lv = _induced_edges(graph, vs)
+    sub = Graph(vs.size, zip(lu.tolist(), lv.tolist()))
+    return SubgraphView(sub, tuple(vs.tolist()))
 
 
 def connected_components(
@@ -246,39 +281,22 @@ def connected_components(
     Returned as sorted vertex tuples, ordered by smallest contained id.
     An empty subset gives an empty list.
     """
-    if subset is None:
-        vs = np.arange(graph.n)
-    else:
-        vs = np.asarray(sorted({int(v) for v in subset}), dtype=np.intp)
-        if vs.size and (vs[0] < 0 or vs[-1] >= graph.n):
-            raise ValueError("subset out of range")
+    vs = _vertex_array(graph, subset)
     if vs.size == 0:
         return []
-    mat = _structure_csr(graph, vs)
+    if vs.size == graph.n:
+        mat = graph._structure()[2]
+    else:
+        lu, lv = _induced_edges(graph, vs)
+        mat = csr_matrix((np.ones(lu.size, dtype=np.int8), (lu, lv)),
+                         shape=(vs.size, vs.size))
     _, labels = _csgraph.connected_components(mat, directed=False)
     comps: dict[int, list[int]] = {}
-    for local, lab in enumerate(labels):
-        comps.setdefault(int(lab), []).append(int(vs[local]))
+    for v, lab in zip(vs.tolist(), labels.tolist()):
+        comps.setdefault(lab, []).append(v)
     out = [tuple(c) for c in comps.values()]
     out.sort(key=lambda c: c[0])
     return out
-
-
-def _structure_csr(graph: Graph, vs: np.ndarray) -> csr_matrix:
-    """0/1 adjacency CSR of the subgraph induced on sorted vertex array vs."""
-    pos = np.full(graph.n, -1, dtype=np.intp)
-    pos[vs] = np.arange(vs.size)
-    rows, cols = [], []
-    for u, v in graph.edges:
-        iu, iv = pos[u], pos[v]
-        if iu >= 0 and iv >= 0:
-            rows += [iu, iv]
-            cols += [iv, iu]
-    data = np.ones(len(rows), dtype=np.int8)
-    return csr_matrix(
-        (data, (np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp))),
-        shape=(vs.size, vs.size),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -320,24 +338,6 @@ class MetricView:
         return self.dist
 
 
-def _edge_lengths(graph: Graph, w: np.ndarray, vs: np.ndarray):
-    pos = np.full(graph.n, -1, dtype=np.intp)
-    pos[vs] = np.arange(vs.size)
-    rows, cols, data = [], [], []
-    for u, v in graph.edges:
-        iu, iv = pos[u], pos[v]
-        if iu >= 0 and iv >= 0:
-            length = 0.5 * (w[u] + w[v])
-            rows += [iu, iv]
-            cols += [iv, iu]
-            data += [length, length]
-    return (
-        np.asarray(rows, dtype=np.intp),
-        np.asarray(cols, dtype=np.intp),
-        np.asarray(data, dtype=float),
-    )
-
-
 def dist_omega(
     graph: Graph,
     omega,
@@ -359,38 +359,26 @@ def dist_omega(
         routines chop subgraphs of one fixed ambient graph.
     """
     w = check_weights(graph, omega)
-    if subset is None:
-        vs = np.arange(graph.n)
-    else:
-        vs = np.asarray(sorted({int(v) for v in subset}), dtype=np.intp)
-        if vs.size and (vs[0] < 0 or vs[-1] >= graph.n):
-            raise ValueError("subset out of range")
-    allowed = set(int(v) for v in vs)
+    vs = _vertex_array(graph, subset)
+    pos = {v: i for i, v in enumerate(vs.tolist())}
     if sources is None:
-        src = [int(v) for v in vs]
+        src = vs.tolist()
     else:
         src = [int(s) for s in sources]
         for s in src:
-            if s not in allowed:
+            if s not in pos:
                 raise ValueError(f"source {s} not in the (sub)graph")
     if vs.size == 0:
         return MetricView((), tuple(src), np.empty((len(src), 0)))
-    pos = {int(v): i for i, v in enumerate(vs)}
-    rows, cols, data = _edge_lengths(graph, w, vs)
-    src_idx = [pos[s] for s in src]
-    if data.size and np.min(data) <= 0.0:
-        # Zero-length edges: sparse csgraph would treat stored zeros as
-        # non-edges, so fall back to the masked dense representation.
-        dense = np.full((vs.size, vs.size), np.inf)
-        dense[rows, cols] = data
-        mat = _csgraph.csgraph_from_dense(dense, null_value=np.inf)
-        dist = _csgraph.dijkstra(mat, directed=False, indices=src_idx)
-    else:
-        mat = csr_matrix((data, (rows, cols)), shape=(vs.size, vs.size))
-        dist = _csgraph.dijkstra(mat, directed=False, indices=src_idx)
+    lu, lv = _induced_edges(graph, vs)
+    wl = w[vs]
+    length = 0.5 * (wl[lu] + wl[lv])
+    mat = csr_matrix((length, (lu, lv)), shape=(vs.size, vs.size))
+    dist = _csgraph.dijkstra(mat, directed=False,
+                             indices=[pos[s] for s in src])
     if dist.ndim == 1:
         dist = dist[None, :]
-    return MetricView([int(v) for v in vs], src, dist)
+    return MetricView(vs.tolist(), src, dist)
 
 
 def shortest_path_tree(
@@ -586,12 +574,24 @@ def graph_to_json_dict(graph: Graph, weights=None, **extras) -> dict:
 def graph_from_json_dict(d: Mapping) -> tuple[Graph, np.ndarray | None, dict]:
     if "n" not in d or "edges" not in d:
         raise ValueError("graph JSON needs 'n' and 'edges'")
-    g = Graph(int(d["n"]), [(int(e[0]), int(e[1])) for e in d["edges"]])
+    n, edges = d["n"], d["edges"]
+    if not _is_int(n):
+        raise ValueError(f"graph JSON 'n' must be an integer, got {n!r}")
+    if not isinstance(edges, (list, tuple)) or not all(
+        isinstance(e, (list, tuple)) and len(e) == 2 and all(map(_is_int, e))
+        for e in edges
+    ):
+        raise ValueError("graph JSON 'edges' must be a list of integer pairs")
+    g = Graph(n, edges)
     weights = None
     if d.get("weights") is not None:
         weights = check_weights(g, [float(x) for x in d["weights"]])
     extras = {k: v for k, v in d.items() if k not in ("n", "edges", "weights")}
     return g, weights, extras
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def dump_graph_json(path, graph: Graph, weights=None, **extras) -> None:

@@ -166,48 +166,6 @@ def _neighbor_mask(adj, mask):
     return out
 
 
-_minor_memo: dict = {}
-
-
-def _refine_colors(graph: Graph):
-    colors = [graph.degree(v) for v in range(graph.n)]
-    for _ in range(graph.n):
-        sig = [
-            (colors[v], tuple(sorted(colors[u] for u in graph.neighbors(v))))
-            for v in range(graph.n)
-        ]
-        palette = {s: i for i, s in enumerate(sorted(set(sig)))}
-        new = [palette[s] for s in sig]
-        if new == colors:
-            break
-        colors = new
-    return colors
-
-
-def _canon_key(graph: Graph, budget: int = 40320):
-    """Isomorphism-invariant key, or None when canonicalizing is too costly."""
-    colors = _refine_colors(graph)
-    classes: dict = {}
-    for v, c in enumerate(colors):
-        classes.setdefault(c, []).append(v)
-    groups = [classes[c] for c in sorted(classes)]
-    count = 1
-    for g in groups:
-        count *= math.factorial(len(g))
-        if count > budget:
-            return None
-    best = None
-    for perms in itertools.product(*(itertools.permutations(g) for g in groups)):
-        order = [v for g in perms for v in g]
-        pos = {v: i for i, v in enumerate(order)}
-        edges = tuple(
-            sorted(tuple(sorted((pos[u], pos[v]))) for u, v in graph.edges)
-        )
-        if best is None or edges < best:
-            best = edges
-    return (graph.n, best)
-
-
 def _search_minor(host: Graph, minor: Graph, strict: bool):
     nh, nm = host.n, minor.n
     if nm == 0:
@@ -276,17 +234,7 @@ def _minor_query(host: Graph, minor: Graph, strict: bool,
             f"minor search limited to hosts with {max_host} and minors with "
             f"{max_minor} vertices (got {host.n}, {minor.n})"
         )
-    ck = None
-    kh, km = _canon_key(host), _canon_key(minor)
-    if kh is not None and km is not None:
-        ck = (kh, km, strict)
-        hit = _minor_memo.get(ck)
-        if hit is False:
-            return None
-    witness = _search_minor(host, minor, strict)
-    if ck is not None:
-        _minor_memo[ck] = witness is not None
-    return witness
+    return _search_minor(host, minor, strict)
 
 
 def has_minor_exact(graph: Graph, minor: Graph, *,

@@ -252,20 +252,29 @@ def shatter(graph: Graph, omega, centers, taus, delta: float, *,
         vpos = {v: i for i, v in enumerate(amb)}
     idx = np.asarray([vpos[v] for v in vs], dtype=np.intp)
     varr = np.asarray(vs, dtype=np.intp)
-    half = 0.5 * w[varr]
-    shard = np.zeros(len(vs), dtype=bool)
-    mind = np.full(len(vs), np.inf)
-    for c, tau in zip(centers, taus):
-        d = np.asarray(rows[c], dtype=float)[idx]
-        radius = delta + tau
-        shard |= (d - half <= radius) & (radius <= d + half)
-        mind = np.minimum(mind, d)
+    shard, mind = _sphere_shards(
+        w, varr, (np.asarray(rows[c], dtype=float)[idx] for c in centers),
+        [delta + tau for tau in taus])
     shards = tuple(int(v) for v in varr[shard])
     comps = connected_components(graph, subset=[int(v) for v in varr[~shard]])
     if np.all(mind <= delta):
         bound = 2.0 * (delta + max(taus)) + 1e-9
         _assert_component_diameters(graph, w, comps, bound, ambient=ambient)
     return shards, comps
+
+
+def _sphere_shards(w, varr, dists, radii):
+    """Sphere shards among the vertices ``varr``: those whose interval
+    [d - w/2, d + w/2] holds the radius paired with some distance row d.
+    Returns the shard mask and each vertex's least distance.
+    """
+    half = 0.5 * w[varr]
+    shard = np.zeros(len(varr), dtype=bool)
+    mind = np.full(len(varr), np.inf)
+    for d, radius in zip(dists, radii):
+        shard |= (d - half <= radius) & (radius <= d + half)
+        mind = np.minimum(mind, d)
+    return shard, mind
 
 
 def _assert_component_diameters(graph, w, comps, bound, *, ambient=None):
@@ -355,14 +364,9 @@ def random_separator(graph: Graph, omega, delta: float, h: int, seed: int,
             idx = np.asarray([amb_pos[v] for v in node.vertices],
                              dtype=np.intp)
             varr = np.asarray(node.vertices, dtype=np.intp)
-            half = 0.5 * w[varr]
-            shard = np.zeros(len(varr), dtype=bool)
-            mind = np.full(len(varr), np.inf)
-            for depth_i, anc in enumerate(chain):
-                d = tree.rows[anc][idx]
-                radius = big_delta + taus[depth_i]
-                shard |= (d - half <= radius) & (radius <= d + half)
-                mind = np.minimum(mind, d)
+            shard, mind = _sphere_shards(
+                w, varr, (tree.rows[anc][idx] for anc in chain),
+                big_delta + taus)
             if np.any(mind > big_delta):
                 spaced.append(("comp", comp[0]) + node.path)
             s2 = [int(v) for v in varr[shard]]
@@ -438,19 +442,10 @@ def padded_partition(graph: Graph, omega, sample: RandomSeparatorSample
 # ---------------------------------------------------------------------------
 # rounding maps
 
-def _edge_arrays(graph: Graph):
-    if graph.edges:
-        eu = np.asarray([e[0] for e in graph.edges], dtype=np.intp)
-        ev = np.asarray([e[1] for e in graph.edges], dtype=np.intp)
-    else:
-        eu = ev = np.empty(0, dtype=np.intp)
-    return eu, ev
-
-
 def _edge_lipschitz_check(graph: Graph, w, f):
     # Lipschitz along every edge implies Lipschitz for the whole
     # shortest-path metric, so an O(m) scan suffices.
-    eu, ev = _edge_arrays(graph)
+    eu, ev, _ = graph._structure()
     if eu.size == 0:
         return
     f = np.asarray(f, dtype=float)
@@ -549,7 +544,7 @@ def sweep_cut(graph: Graph, omega, f):
     _edge_lipschitz_check(graph, w, vals)
 
     n = graph.n
-    eu, ev = _edge_arrays(graph)
+    eu, ev, _ = graph._structure()
     thresholds = np.unique(np.concatenate([vals - w / 2.0, vals + w / 2.0]))
     best_u: tuple = ()
     best_ratio = math.inf

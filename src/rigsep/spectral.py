@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
+import scipy.sparse.csgraph
 import scipy.sparse.linalg
 
 from ._rng import substream
@@ -33,20 +33,10 @@ class LaplacianSpectrum:
 
 
 def laplacian_matrix(graph: Graph, sparse: bool = False):
-    n = graph.n
-    if sparse:
-        rows, cols, data = [], [], []
-        for u, v in graph.edges:
-            rows += [u, v, u, v]
-            cols += [v, u, u, v]
-            data += [-1.0, -1.0, 1.0, 1.0]
-        return scipy.sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
-    lap = np.zeros((n, n))
-    for u, v in graph.edges:
-        lap[u, v] -= 1.0
-        lap[v, u] -= 1.0
-        lap[u, u] += 1.0
-        lap[v, v] += 1.0
+    lap = scipy.sparse.csgraph.laplacian(graph._structure()[2]).tocsr()
+    if not sparse:
+        return lap.toarray()
+    lap.eliminate_zeros()  # an isolated vertex stores no diagonal entry
     return lap
 
 
@@ -107,29 +97,23 @@ def spectral_bisection(graph: Graph):
         raise ValueError("spectral bisection needs a connected graph")
     vec = _fiedler_vector(graph)
     order = sorted(range(n), key=lambda v: (vec[v], v))
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
+    pos = np.empty(n, dtype=np.intp)
+    pos[order] = np.arange(n)
+    eu, ev, _ = graph._structure()
+    lo = np.minimum(pos[eu], pos[ev])
+    hi = np.maximum(pos[eu], pos[ev])
+    # edge {u, v} crosses every cut lo < cut_at <= hi: a difference array
+    # counts the crossing edges of all n - 1 cuts at once
+    crossing = np.cumsum(np.bincount(lo + 1, minlength=n + 1)
+                         - np.bincount(hi + 1, minlength=n + 1))
+    cut_at = np.arange(1, n)
+    scores = crossing[1:n] / np.minimum(cut_at, n - cut_at)
+    cut_at = int(np.argmin(scores)) + 1  # first minimum, as the scan took
 
-    best = None
-    for cut_at in range(1, n):
-        crossing = [
-            (u, v) for u, v in graph.edges
-            if (pos[u] < cut_at) != (pos[v] < cut_at)
-        ]
-        small = min(cut_at, n - cut_at)
-        score = len(crossing) / small
-        if best is None or score < best[0]:
-            best = (score, cut_at, crossing)
-
-    _, cut_at, crossing = best
-    prefix_small = cut_at <= n - cut_at
-    sep = set()
-    for u, v in crossing:
-        u_in_prefix = pos[u] < cut_at
-        on_small = u_in_prefix == prefix_small
-        sep.add(u if on_small else v)
-    return tuple(sorted(sep))
+    cross = (lo < cut_at) & (cut_at <= hi)
+    # lo is the prefix endpoint; keep the endpoint on the smaller side
+    small = lo if cut_at <= n - cut_at else hi
+    return tuple(int(i) for i in np.unique(np.asarray(order)[small[cross]]))
 
 
 def spreading_constant(graph: Graph, omega, r: int, mode: str = "exact",

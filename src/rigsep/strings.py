@@ -144,20 +144,15 @@ def segments_intersect(line_a, line_b) -> bool:
     return False
 
 
-def string_graph_from_polylines(arr: PolylineArrangement):
-    """Build (rig, base, assign) for a polyline arrangement.
+def _crossing_events(strings):
+    """The one pass over all segment pairs.
 
-    Base vertices are the pairwise intersection points plus one anchor at
-    the first point of every string; base edges join consecutive points
-    along each string.  Collinear overlap between distinct strings has
-    infinitely many intersection points and is rejected.
+    ``events[i]`` lists (segment index, parameter on that segment, point)
+    for the first point of string i and every point where it meets
+    another string.  Collinear overlap is rejected.
     """
-    strings = arr.strings
     k = len(strings)
-    # events[i]: (segment index, parameter on that segment, point)
-    events = [[] for _ in range(k)]
-    for i in range(k):
-        events[i].append((0, Fraction(0), strings[i][0]))
+    events = [[(0, Fraction(0), line[0])] for line in strings]
     for i in range(k):
         segs_i = _segments(strings[i])
         for j in range(i + 1, k):
@@ -172,14 +167,25 @@ def string_graph_from_polylines(arr: PolylineArrangement):
                     if kind == "point":
                         events[i].append((ki, _param(p, a, b), p))
                         events[j].append((kj, _param(p, c, d), p))
+    return events
 
+
+def string_graph_from_polylines(arr: PolylineArrangement):
+    """Build (rig, base, assign) for a polyline arrangement.
+
+    Base vertices are the pairwise intersection points plus one anchor at
+    the first point of every string; base edges join consecutive points
+    along each string.  Collinear overlap between distinct strings has
+    infinitely many intersection points and is rejected.
+    """
+    events = _crossing_events(arr.strings)
     points = sorted({p for ev in events for (_, _, p) in ev})
     index = {p: idx for idx, p in enumerate(points)}
 
     edges = set()
     regions = []
-    for i in range(k):
-        ordered = sorted(events[i], key=lambda e: (e[0], e[1]))
+    for ev in events:
+        ordered = sorted(ev, key=lambda e: (e[0], e[1]))
         walk = []
         for _, _, p in ordered:
             if not walk or walk[-1] != p:
@@ -198,20 +204,8 @@ def string_graph_from_polylines(arr: PolylineArrangement):
 
 def arrangement_points(arr: PolylineArrangement):
     """Sorted base-vertex coordinates, index-aligned with the built base."""
-    strings = arr.strings
-    pts = {line[0] for line in strings}
-    for i in range(len(strings)):
-        for j in range(i + 1, len(strings)):
-            for a, b in _segments(strings[i]):
-                for c, d in _segments(strings[j]):
-                    kind, p = _segment_hit(a, b, c, d)
-                    if kind == "overlap":
-                        raise ValueError(
-                            f"strings {i} and {j} overlap along a segment"
-                        )
-                    if kind == "point":
-                        pts.add(p)
-    return sorted(pts)
+    return sorted({p for ev in _crossing_events(arr.strings)
+                   for (_, _, p) in ev})
 
 
 def polylines_to_json(strings) -> list:

@@ -241,3 +241,15 @@ class TestCLI:
         capsys.readouterr()
         assert main(["oracle", "big.json", "--which", "expansion"]) == 2
         assert "rigsep:" in capsys.readouterr().err
+        malformed = (
+            '{"n": 3, "edges": [[0]]}',
+            '{"n": 3, "edges": 5}',
+            '{"n": [3], "edges": []}',
+            '{"n": 3, "edges": [[0, 1, 2]]}',
+        )
+        for i, text in enumerate(malformed):
+            name = f"bad{i}.json"
+            with open(name, "w") as fh:
+                fh.write(text)
+            assert main(["sep", name]) == 2, text
+            assert capsys.readouterr().err.startswith("rigsep:"), text

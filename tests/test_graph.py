@@ -235,6 +235,47 @@ class TestSubdivision:
             assert s.degree(g.n + k) == 2
 
 
+@st.composite
+def weighted_subgraph_cases(draw):
+    """A graph, a vertex subset, sources in it and weights, some zero."""
+    n = draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    subset = draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+    sources = draw(st.lists(st.sampled_from(subset), min_size=1, unique=True))
+    w = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
+                      min_size=n, max_size=n))
+    return Graph(n, edges), subset, sources, np.asarray(w)
+
+
+class TestAgainstNetworkx:
+    @settings(max_examples=120, deadline=None)
+    @given(case=weighted_subgraph_cases())
+    def test_subgraph_primitives(self, case):
+        nx = pytest.importorskip("networkx")
+        g, subset, sources, w = case
+        ref = nx.Graph()
+        ref.add_nodes_from(subset)
+        ref.add_weighted_edges_from(
+            (u, v, 0.5 * (w[u] + w[v])) for u, v in g.edges
+            if u in subset and v in subset
+        )
+        mv = dist_omega(g, w, sources, subset=subset)
+        assert mv.vertices == tuple(sorted(subset))
+        for s in sources:
+            lengths = nx.single_source_dijkstra_path_length(ref, s)
+            want = [lengths.get(v, math.inf) for v in mv.vertices]
+            assert np.allclose(mv.row(s), want, rtol=1e-12, atol=0.0)
+        want_comps = sorted(tuple(sorted(c)) for c in nx.connected_components(ref))
+        assert connected_components(g, subset=subset) == want_comps
+        view = induced_subgraph(g, subset)
+        assert view.vertices == tuple(sorted(subset))
+        got_edges = sorted(
+            (view.to_parent(a), view.to_parent(b)) for a, b in view.graph.edges
+        )
+        assert got_edges == sorted(tuple(sorted(e)) for e in ref.edges)
+
+
 class TestJson:
     def test_round_trip(self, tmp_path):
         g = cycle_graph(5)
@@ -253,3 +294,15 @@ class TestJson:
     def test_missing_fields_raise(self):
         with pytest.raises(ValueError):
             graph_from_json_dict({"edges": []})
+
+    @pytest.mark.parametrize("d", [
+        {"n": 3, "edges": [[0]]},
+        {"n": 3, "edges": 5},
+        {"n": [3], "edges": []},
+        {"n": 3, "edges": [[0, 1, 2]]},
+        {"n": 3.5, "edges": []},
+        {"n": 3, "edges": [[0, "1"]]},
+    ])
+    def test_malformed_fields_raise(self, d):
+        with pytest.raises(ValueError):
+            graph_from_json_dict(d)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_connected_graph
 from rigsep.graph import Graph, complete_graph, cycle_graph, path_graph
 from rigsep.spectral import (
+    _fiedler_vector,
     laplacian_matrix,
     laplacian_spectrum,
     spectral_bisection,
@@ -111,6 +112,33 @@ class TestBisection:
         assert sep
         assert all(0 <= v < g.n for v in sep)
         assert len(sep) < g.n
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        g=st.builds(
+            random_connected_graph,
+            n=st.integers(2, 16),
+            seed=st.integers(0, 10**6),
+            extra_edges=st.integers(0, 10),
+        )
+    )
+    def test_sweep_takes_first_minimum_by_brute_force(self, g):
+        vec = _fiedler_vector(g)
+        n = g.n
+        order = sorted(range(n), key=lambda v: (vec[v], v))
+        pos = {v: i for i, v in enumerate(order)}
+        best = None
+        for cut_at in range(1, n):
+            crossing = [(u, v) for u, v in g.edges
+                        if (pos[u] < cut_at) != (pos[v] < cut_at)]
+            score = len(crossing) / min(cut_at, n - cut_at)
+            if best is None or score < best[0]:
+                best = (score, cut_at, crossing)
+        _, cut_at, crossing = best
+        prefix_small = cut_at <= n - cut_at
+        want = {u if (pos[u] < cut_at) == prefix_small else v
+                for u, v in crossing}
+        assert spectral_bisection(g) == tuple(sorted(want))
 
 
 class TestSpreadingConstant:

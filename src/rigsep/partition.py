@@ -12,6 +12,8 @@ witnesses turn those samples into one-dimensional maps and vertex cuts;
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -635,6 +637,21 @@ def _cut_spectral(graph: Graph, comp, seed):
     return {view.to_parent(v) for v in sep}
 
 
+# (graph, cspread_lp(graph, 1)) while a caller that already solved it runs
+_SOLVED_LP: ContextVar = ContextVar("_SOLVED_LP", default=None)
+
+
+@contextmanager
+def _reusing_lp(graph: Graph, result):
+    """Inside the block, an lp-round cut of a component equal to ``graph``
+    takes ``result`` instead of solving ``cspread_lp(graph, 1)`` again."""
+    token = _SOLVED_LP.set((graph, result))
+    try:
+        yield
+    finally:
+        _SOLVED_LP.reset(token)
+
+
 def _cut_lp_round(graph: Graph, comp, seed):
     from .flows import cspread_lp
 
@@ -644,7 +661,11 @@ def _cut_lp_round(graph: Graph, comp, seed):
         return _cut_spectral(graph, comp, seed)
     view = induced_subgraph(graph, comp)
     local = view.graph
-    res = cspread_lp(local, 1)
+    solved = _SOLVED_LP.get()
+    if solved is not None and solved[0] == local:
+        res = solved[1]
+    else:
+        res = cspread_lp(local, 1)
     w = res.omega
     mv = dist_omega(local, w)
     sp = spread(mv)

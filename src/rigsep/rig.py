@@ -9,10 +9,14 @@ tests and in the flow transfer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse import csgraph as _csgraph
 
 from .graph import (
     Graph,
-    connected_components,
     graph_from_json_dict,
     graph_to_json_dict,
     subdivision,
@@ -45,9 +49,10 @@ class RegionAssignment:
                 raise ValueError(f"region {i} leaves the base vertex range")
             norm.append(vs)
         object.__setattr__(self, "regions", tuple(norm))
-        for i, vs in enumerate(self.regions):
-            if len(connected_components(self.base, subset=vs)) != 1:
-                raise ValueError(f"region {i} is not connected in the base graph")
+        bad = _disconnected_regions(self.base, self.regions)
+        if bad.size:
+            raise ValueError(
+                f"region {bad[0]} is not connected in the base graph")
 
     @property
     def k(self) -> int:
@@ -62,6 +67,40 @@ class RegionAssignment:
                 m |= 1 << v
             out.append(m)
         return out
+
+
+def _disconnected_regions(base: Graph, regions) -> np.ndarray:
+    """Indices, ascending, of the regions that are not connected in ``base``.
+
+    One labelled components pass over the block-diagonal union of the
+    regions' induced subgraphs.  Slot s of the union holds vertex
+    ``verts[s]`` of region ``owner[s]``; each base edge (u, v), u < v,
+    joins the slots of u and v in every region that holds both.
+    """
+    k = len(regions)
+    if not k:
+        return np.empty(0, dtype=np.intp)
+    sizes = np.fromiter(map(len, regions), dtype=np.intp, count=k)
+    verts = np.fromiter(chain.from_iterable(regions), dtype=np.intp,
+                        count=int(sizes.sum()))
+    owner = np.repeat(np.arange(k), sizes)
+    code = owner * base.n + verts  # ascending: each region is sorted
+    # the edges leaving each slot's vertex upward, a run of the sorted eu
+    eu, ev, _ = base._structure()
+    first = np.searchsorted(eu, verts)
+    count = np.searchsorted(eu, verts, side="right") - first
+    src = np.repeat(np.arange(verts.size), count)
+    edge = (np.repeat(first - np.cumsum(count) + count, count)
+            + np.arange(count.sum()))
+    want = owner[src] * base.n + ev[edge]
+    dst = np.minimum(np.searchsorted(code, want), code.size - 1)
+    hit = code[dst] == want
+    union = csr_matrix((np.ones(int(hit.sum()), dtype=np.int8),
+                        (src[hit], dst[hit])), shape=(verts.size, verts.size))
+    ncomp, labels = _csgraph.connected_components(union, directed=False)
+    comp_owner = np.empty(ncomp, dtype=np.intp)
+    comp_owner[labels] = owner
+    return np.flatnonzero(np.bincount(comp_owner, minlength=k) > 1)
 
 
 def build_rig(assign: RegionAssignment) -> Graph:

@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_connected_graph
 from rigsep._rng import substream
-from rigsep.graph import Graph, complete_graph, path_graph
+from rigsep.graph import Graph, complete_graph, connected_components, path_graph
 from rigsep.rig import (
     RegionAssignment,
     assignment_from_json_dict,
@@ -47,6 +47,43 @@ class TestRegionAssignment:
         assert a.regions == ((1, 2), (3,))
         assert a.k == 2
         assert a.masks() == [0b0110, 0b1000]
+
+    def test_names_the_one_disconnected_region(self):
+        base = path_graph(6)
+        # only region 3, {0, 2}, misses the vertex 1 between its ends
+        regions = ((0, 1), (2,), (1, 2, 3), (0, 2), (4, 5), (2, 3, 4))
+        with pytest.raises(ValueError, match=r"^region 3 is not connected"):
+            RegionAssignment(base, regions)
+
+    def test_names_the_first_disconnected_region(self):
+        base = path_graph(6)
+        regions = ((0,), (5, 4), (3,), (1, 3), (2, 3), (0, 5))
+        with pytest.raises(ValueError, match=r"^region 3 is not connected"):
+            RegionAssignment(base, regions)
+
+    def test_single_vertex_and_duplicate_regions_pass(self):
+        base = path_graph(5)
+        regions = ((2,), (2,), (0, 1, 2), (2, 1, 0), (4,), (4,))
+        a = RegionAssignment(base, regions)
+        assert a.regions == ((2,), (2,), (0, 1, 2), (0, 1, 2), (4,), (4,))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6), n=st.integers(1, 9),
+           k=st.integers(1, 8))
+    def test_check_matches_per_region_components(self, seed, n, k):
+        base = random_connected_graph(n, seed, extra_edges=seed % 3)
+        rng = substream(seed, "subsets", n, k)
+        regions = tuple(
+            tuple(int(v) for v in rng.choice(n, size=int(rng.integers(1, n + 1)),
+                                              replace=False))
+            for _ in range(k))
+        bad = [i for i, r in enumerate(regions)
+               if len(connected_components(base, subset=r)) != 1]
+        if bad:
+            with pytest.raises(ValueError, match=rf"^region {bad[0]} is not"):
+                RegionAssignment(base, regions)
+        else:
+            assert RegionAssignment(base, regions).k == k
 
     def test_distinguished_vertices_are_minima(self):
         base = path_graph(5)

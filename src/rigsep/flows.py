@@ -7,7 +7,10 @@ vertex congestion vcong_p minimizes the l_p norm of the congestion
 vector.  The extremal spread cspread_q maximizes the average pairwise
 distance over conformal weights with unit L^q norm.  The two are tied
 by LP duality; ``check_duality`` evaluates both sides and reports the
-literal textbook form next to the convention-corrected one.
+literal textbook form next to the convention-corrected one.  At p = 2
+the corrected side is the weak-duality bound at the primal's own
+normalized congestion, so the gap certifies the routing.  The p = 2
+programs refuse graphs above 24 vertices, where they take minutes.
 """
 from __future__ import annotations
 
@@ -49,6 +52,10 @@ __all__ = [
 ]
 
 _PRICE_TOL = 1e-9
+# largest n the p = 2 solvers accept: on a 2-vCPU host G(n, p) at n = 24
+# takes 5-8 s per program, n = 30 over a minute, a 36-vertex grid more
+# than ten minutes
+_P2_MAX_N = 24
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +250,12 @@ def _require_connected(graph: Graph, what: str):
         raise ValueError(f"{what} needs a connected graph")
 
 
+def _require_small_p2(graph: Graph, p: float, what: str):
+    if p == 2 and graph.n > _P2_MAX_N:
+        raise ValueError(
+            f"refusing {what} at p=2 for n={graph.n} > {_P2_MAX_N}")
+
+
 def _cspread_lp_exact(graph: Graph) -> SpreadLPResult:
     # variables: omega (n) then d[u, v] for ordered pairs, row-major.
     # Maximizing the mean of d subject to per-source edge relaxations is
@@ -395,9 +408,11 @@ def cspread_lp(graph: Graph, p: float) -> SpreadLPResult:
 
     p = 1 solves the exact LP over joint (omega, distance) variables;
     p = 2 runs projected supergradient ascent on the concave spread
-    objective over the L^2 ball (tolerance 1e-6, capped iterations).
+    objective over the L^2 ball (tolerance 1e-6, capped iterations) and
+    raises ValueError for graphs with more than 24 vertices.
     """
     _require_connected(graph, "cspread_lp")
+    _require_small_p2(graph, p, "cspread_lp")
     if graph.n == 1:
         return SpreadLPResult(omega=np.zeros(1), value=0.0, p=float(p),
                               diagnostics={"trivial": True})
@@ -586,9 +601,11 @@ def vcong_lp(graph: Graph, p: float) -> CongestionResult:
     p = 1 routes every pair along a fewest-vertex path (the separable
     exact optimum); p = inf and p = 2 run column generation against the
     min-t LP / least-squares master, pricing candidate paths by
-    Dijkstra under the master's vertex prices.
+    Dijkstra under the master's vertex prices.  p = 2 raises ValueError
+    for graphs with more than 24 vertices.
     """
     _require_connected(graph, "vcong_lp")
+    _require_small_p2(graph, p, "vcong_lp")
     if graph.n == 1:
         flow = HFlow(graph, complete_graph(1), (0,), {})
         return CongestionResult(value=0.0, flow=flow, p=float(p),
@@ -630,69 +647,18 @@ _CONVENTION_NOTE = (
 )
 
 
-def _dual_value_l2(graph: Graph) -> float:
-    """max over z >= 0, |z|_2 <= 1 of the total full-vertex cost of
-    cheapest paths, one per unordered pair; the exact dual of min |c|_2.
-
-    Joint (z, d) variables make the program smooth: per-source distance
-    variables are pushed up against the edge relaxation constraints, so
-    a generic NLP solver reaches the optimum to high accuracy.
-    """
-    n = graph.n
-    nvar = n + n * n
-
-    def dvar(u, v):
-        return n + u * n + v
-
-    rows = []
-    for u in range(n):
-        for a0, b0 in graph.edges:
-            for a, b in ((a0, b0), (b0, a0)):
-                r = np.zeros(nvar)
-                r[dvar(u, b)] = -1.0
-                r[dvar(u, a)] = 1.0
-                r[a] += 0.5
-                r[b] += 0.5
-                rows.append(r)
-    a_relax = np.asarray(rows)
-
-    c = np.zeros(nvar)
-    c[:n] = 0.5 * (n - 1)
-    for u in range(n):
-        for v in range(n):
-            if u != v:
-                c[dvar(u, v)] = 0.5
-
-    z0 = np.full(n, 1.0 / math.sqrt(n))
-    x0 = np.zeros(nvar)
-    x0[:n] = z0
-    mv = dist_omega(graph, z0)
-    for u in range(n):
-        x0[n + u * n:n + (u + 1) * n] = mv.row(u)
-
-    bounds = [(0.0, 1.0)] * n + [(0.0, None)] * (n * n)
-    for u in range(n):
-        bounds[dvar(u, u)] = (0.0, 0.0)
-    cons = [
-        {"type": "ineq", "fun": lambda x: a_relax @ x,
-         "jac": lambda x: a_relax},
-        {"type": "ineq",
-         "fun": lambda x: 1.0 - float(np.dot(x[:n], x[:n])),
-         "jac": lambda x: np.concatenate([-2.0 * x[:n],
-                                          np.zeros(n * n)])},
-    ]
-    res = minimize(lambda x: -float(c @ x), x0, jac=lambda x: -c,
-                   method="SLSQP", bounds=bounds, constraints=cons,
-                   options={"maxiter": 500, "ftol": 1e-12})
-    if not res.success:
-        raise RuntimeError(f"l2 dual solve failed: {res.message}")
-    # realize the reported value honestly from the z part alone
-    z = np.maximum(res.x[:n], 0.0)
-    norm = float(np.linalg.norm(z))
-    if norm > 1.0:
-        z /= norm
-    total, _ = _ordered_distance_sum(graph, z)
-    return 0.5 * total + 0.5 * (n - 1) * float(z.sum())
+def _l2_dual_bound(graph: Graph, congestion: np.ndarray) -> float:
+    """The dual objective of min |c|_2 at z = c / |c|_2: the total cost
+    of cheapest paths, one per unordered pair, where a path costs its
+    conformal length plus half of each endpoint weight.  Every such z is
+    dual feasible, so this is a lower bound on vcong_2 by weak duality,
+    tight exactly when the routing with congestion c is optimal."""
+    norm = float(np.linalg.norm(congestion))
+    if norm == 0:
+        return 0.0
+    z = congestion / norm
+    total = float(dist_omega(graph, z).matrix().sum())
+    return 0.5 * total + 0.5 * (graph.n - 1) * float(z.sum())
 
 
 def check_duality(graph: Graph, p: float,
@@ -703,8 +669,12 @@ def check_duality(graph: Graph, p: float,
     given.  For p = inf the corrected identity is
     vcong = (n * cspread_1 + (n - 1)) / 2, exact by LP duality; p = 1
     uses the same correction at q = inf, where the extremal weight is
-    uniform and everything is in closed form; for p = 2 the corrected
-    value maximizes the dual objective over the l2 ball directly.
+    uniform and everything is in closed form.  For p = 2 the corrected
+    value is the dual objective at z = c / |c|_2, where c is the
+    congestion of the routing ``vcong_lp(graph, 2)`` returns: a lower
+    bound on vcong_2 by weak duality, tight exactly when that routing is
+    optimal, so a suboptimal routing shows up as a gap (and graphs above
+    24 vertices raise ValueError, as in ``vcong_lp``).
     ``ok`` compares vcong against the corrected value.
     """
     _require_connected(graph, "check_duality")
@@ -735,7 +705,8 @@ def check_duality(graph: Graph, p: float,
         vres = vcong_lp(graph, 2)
         cs = cspread_lp(graph, 2).value
         literal = n ** 1.5 * cs
-        corrected = _dual_value_l2(graph)
+        corrected = _l2_dual_bound(
+            graph, congestion_map(vres.flow.aggregate()))
         tol = 1e-4
     vc = vres.value
     scale = max(1.0, abs(vc))

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -204,6 +205,15 @@ class TestCLI:
         assert rep["p"] == "inf" and rep["q"] == 1.0
         assert rep["corrected_rel_gap"] <= 1e-4
 
+        assert main(["duality", "g.json", "--p", "2"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["ok"] is True and rep["p"] == 2.0
+        assert rep["corrected_rel_gap"] <= 1e-4
+
+        assert main(["lp", "g.json", "--p", "2"]) == 0
+        lp = json.loads(capsys.readouterr().out)
+        assert lp["p"] == 2 and lp["value"] > 0 and len(lp["omega"]) == 9
+
         assert main(["spectrum", "g.json", "--k", "3"]) == 0
         spec = json.loads(capsys.readouterr().out)
         assert len(spec["eigenvalues"]) == 3
@@ -232,6 +242,17 @@ class TestCLI:
         assert main(["oracle", "t.json", "--which", "cspread"]) == 0
         cs = json.loads(capsys.readouterr().out)
         assert cs["value"] > 0
+
+    def test_p2_size_guard(self, workdir, capsys):
+        # 25 vertices is past the p = 2 solvers' bound: refuse, don't solve
+        main(["gen", "grid", "4", "--out", "g.json"])
+        capsys.readouterr()
+        for cmd in (["duality", "g.json", "--p", "2"],
+                    ["lp", "g.json", "--p", "2"]):
+            t0 = time.perf_counter()
+            assert main(cmd) == 2, cmd
+            assert time.perf_counter() - t0 < 5.0, cmd
+            assert capsys.readouterr().err.startswith("rigsep:"), cmd
 
     def test_failures_exit_two(self, workdir, capsys):
         assert main(["sep", "missing.json"]) == 2

@@ -17,6 +17,7 @@ from rigsep.graph import (
     spread,
 )
 from rigsep.flows import (
+    _l2_dual_bound,
     CrossingReport,
     HFlow,
     MultiFlow,
@@ -28,6 +29,7 @@ from rigsep.flows import (
     rig_flow_transfer,
     vcong_lp,
 )
+from rigsep.generators import generate
 from rigsep.oracles import cspread_exact_small
 from rigsep.rig import RegionAssignment, build_rig, distinguished_vertices
 
@@ -206,6 +208,8 @@ class TestCspreadLP:
             cspread_lp(Graph(2, []), 1)
         with pytest.raises(ValueError):
             cspread_lp(path_graph(3), 3)
+        with pytest.raises(ValueError):
+            cspread_lp(path_graph(25), 2)
         trivial = cspread_lp(Graph(1, []), 1)
         assert trivial.value == 0.0
 
@@ -238,6 +242,10 @@ class TestVcongLP:
             vcong_lp(Graph(3, [(0, 1)]), 1)
         with pytest.raises(ValueError):
             vcong_lp(path_graph(3), 1.5)
+        with pytest.raises(ValueError):
+            vcong_lp(path_graph(25), 2)
+        with pytest.raises(ValueError):
+            check_duality(path_graph(25), 2)
         trivial = vcong_lp(Graph(1, []), math.inf)
         assert trivial.value == 0.0
 
@@ -245,14 +253,42 @@ class TestVcongLP:
 class TestDuality:
     GRAPHS = (complete_graph(2), complete_graph(3), path_graph(3),
               cycle_graph(5), path_graph(5))
+    # the p = 2 corrected sides on GRAPHS, as a dual solve over the l2
+    # ball gave them
+    L2_CORRECTED = (math.sqrt(2.0), math.sqrt(12.0), math.sqrt(17.0),
+                    math.sqrt(125.0), 13.9283883)
+    # p = 2 inputs on which a dual solve over the l2 ball once failed
+    L2_REGRESSIONS = (path_graph(10), grid_graph(3),
+                      generate("gnp", 12, 0).graph,
+                      generate("gnp", 16, 1).graph,
+                      generate("planar-triangulation", 14, 0).graph)
 
     @pytest.mark.parametrize("p", (1, 2, math.inf))
     def test_corrected_identity_holds(self, p):
-        for g in self.GRAPHS:
-            rep = check_duality(g, p)
+        graphs = self.GRAPHS + (self.L2_REGRESSIONS if p == 2 else ())
+        reps = [check_duality(g, p) for g in graphs]
+        for g, rep in zip(graphs, reps):
             assert rep.ok, (g, p, rep.corrected_rel_gap)
             tol = 1e-6 if p == 1 else 1e-4
             assert rep.corrected_rel_gap <= tol
+        if p == 2:
+            got = [rep.corrected_rhs for rep in reps[:len(self.GRAPHS)]]
+            assert got == pytest.approx(self.L2_CORRECTED, abs=1e-6)
+
+    def test_l2_bound_is_a_certificate(self, catalog_flat):
+        # weak duality: the bound at any routing's congestion stays below
+        # that routing's l2 congestion, not only at the p = 2 optimum
+        for g in catalog_flat:
+            for p in (1, math.inf):
+                c = congestion_map(vcong_lp(g, p).flow.aggregate())
+                norm = float(np.linalg.norm(c))
+                assert _l2_dual_bound(g, c) <= norm + 1e-9, (g, p)
+        # min-hop routing is far from l2-optimal on the grid, and the
+        # bound says so
+        g = grid_graph(3)
+        c = congestion_map(vcong_lp(g, 1).flow.aggregate())
+        norm = float(np.linalg.norm(c))
+        assert _l2_dual_bound(g, c) < 0.95 * norm
 
     def test_literal_form_gap_frozen(self):
         rep = check_duality(path_graph(3), math.inf)

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ._rng import substream_seed
-from .flows import cspread_lp
+from .flows import _P1_MAX_N, cspread_lp
 from .generators import Instance, generate
 from .graph import connected_components
 from .partition import _reusing_lp, balanced_separator
@@ -103,7 +103,7 @@ def separate(instance: Instance, method: str = "spectral", seed: int = 0,
     lp_value = None
     solved = contextlib.nullcontext()
     t0 = time.perf_counter()
-    if (method == "lp-round" and 1 < graph.n <= 200
+    if (method == "lp-round" and 1 < graph.n <= _P1_MAX_N
             and len(connected_components(graph)) == 1):
         res = cspread_lp(graph, 1)
         lp_value = float(res.value)

@@ -7,10 +7,17 @@ vertex congestion vcong_p minimizes the l_p norm of the congestion
 vector.  The extremal spread cspread_q maximizes the average pairwise
 distance over conformal weights with unit L^q norm.  The two are tied
 by LP duality; ``check_duality`` evaluates both sides and reports the
-literal textbook form next to the convention-corrected one.  At p = 2
-the corrected side is the weak-duality bound at the primal's own
-normalized congestion, so the gap certifies the routing.  The p = 2
-programs refuse graphs above 24 vertices, where they take minutes.
+literal textbook form next to the convention-corrected one.
+
+At p = 2 both sides are one least-squares column generation over the
+all-pairs routings: vcong_2 = min |c|_2 and
+cspread_2 = (2 sqrt(n) / n^2) * min |c - (n - 1)/2|_2 over routing
+congestions c (see ``cspread_lp``).  The extremal weights come from the
+optimal routing, and their realized spread must meet its bound.  The
+corrected side of the p = 2 duality is the weak-duality bound at the
+primal's own normalized congestion, so its gap certifies the routing.
+The p = 2 programs refuse graphs above 24 vertices and the p = 1
+spread LP graphs above 200, rather than start solves of many minutes.
 """
 from __future__ import annotations
 
@@ -52,9 +59,11 @@ __all__ = [
 ]
 
 _PRICE_TOL = 1e-9
-# largest n the p = 2 solvers accept: on a 2-vCPU host G(n, p) at n = 24
-# takes 5-8 s per program, n = 30 over a minute, a 36-vertex grid more
-# than ten minutes
+# largest n the p = 1 spread LP accepts: it has n + n^2 variables and
+# 2mn + 1 rows, and lp-round falls back to a spectral cut above it
+_P1_MAX_N = 200
+# largest n the p = 2 solvers accept: on a 2-vCPU host G(24, p) takes
+# 3-9 s for vcong_2 and 3-15 s for cspread_2, G(30, p) over a minute
 _P2_MAX_N = 24
 
 
@@ -250,10 +259,9 @@ def _require_connected(graph: Graph, what: str):
         raise ValueError(f"{what} needs a connected graph")
 
 
-def _require_small_p2(graph: Graph, p: float, what: str):
-    if p == 2 and graph.n > _P2_MAX_N:
-        raise ValueError(
-            f"refusing {what} at p=2 for n={graph.n} > {_P2_MAX_N}")
+def _require_small(graph: Graph, limit: float, what: str):
+    if graph.n > limit:
+        raise ValueError(f"refusing {what} for n={graph.n} > {limit}")
 
 
 def _cspread_lp_exact(graph: Graph) -> SpreadLPResult:
@@ -315,90 +323,23 @@ def _cspread_lp_exact(graph: Graph) -> SpreadLPResult:
                           diagnostics=diag)
 
 
-def _ordered_distance_sum(graph: Graph, w: np.ndarray):
-    """Sum of ordered pairwise conformal distances plus a supergradient.
-
-    One shortest-path tree per source provides both: a vertex on the
-    canonical u -> v geodesic counts 1 if interior and 1/2 at either
-    endpoint, so from source u a vertex x != u collects
-    subtree_size(x) - 1/2 while u itself collects (n - 1) / 2.
-    """
+def _cspread_l2(graph: Graph) -> SpreadLPResult:
+    # every vertex ends n - 1 pairs, so c > shift and omega > 0
     n = graph.n
-    total = 0.0
-    grad = np.zeros(n)
-    for u in range(n):
-        dist, pred = shortest_path_tree(graph, w, u)
-        total += float(sum(dist.values()))
-        children: dict = {v: [] for v in pred}
-        for v, p in pred.items():
-            if p is not None:
-                children[p].append(v)
-        size = {v: 1.0 for v in pred}
-        stack = [(u, False)]
-        while stack:
-            v, expanded = stack.pop()
-            if expanded:
-                p = pred[v]
-                if p is not None:
-                    size[p] += size[v]
-            else:
-                stack.append((v, True))
-                stack.extend((ch, False) for ch in children[v])
-        grad[u] += 0.5 * (len(pred) - 1)
-        for v, s in size.items():
-            if v != u:
-                grad[v] += s - 0.5
-    return total, grad
-
-
-def _projected_ascent(value_grad, project, w0, *, tol: float = 1e-6,
-                      max_iter: int = 100000, patience: int = 500):
-    """Maximize a concave positively homogeneous objective over a convex
-    set by supergradient steps with diminishing step sizes."""
-    w = project(np.asarray(w0, dtype=float))
-    best_val, _ = value_grad(w)
-    best_w = w.copy()
-    radius = float(np.linalg.norm(w)) or 1.0
-    stall = 0
-    for t in range(max_iter):
-        val, g = value_grad(w)
-        if val > best_val + tol * max(1.0, abs(best_val)):
-            best_val, best_w, stall = val, w.copy(), 0
-        else:
-            if val > best_val:
-                best_val, best_w = val, w.copy()
-            stall += 1
-            if stall > patience:
-                break
-        gn = float(np.linalg.norm(g))
-        if gn == 0:
-            break
-        w = project(w + (radius / (gn * math.sqrt(t + 1.0))) * g)
-    return best_w, best_val
-
-
-def _cspread_ascent(graph: Graph) -> SpreadLPResult:
-    n = graph.n
-    target = math.sqrt(n)  # vector norm that gives unit normalized L^2
-
-    def project(w):
-        w = np.maximum(w, 0.0)
-        norm = float(np.linalg.norm(w))
-        if norm == 0:
-            return np.full(n, target / math.sqrt(n))
-        return w * (target / norm)
-
-    def value_grad(w):
-        total, grad = _ordered_distance_sum(graph, w)
-        return total / (n * n), grad / (n * n)
-
-    omega, _ = _projected_ascent(value_grad, project, np.ones(n))
+    shift = 0.5 * (n - 1)
+    flow, diag = _min_norm_routing(graph, shift)
+    excess = congestion_map(flow.aggregate()) - shift
+    norm = float(np.linalg.norm(excess))
+    omega = math.sqrt(n) * excess / norm
     realized = spread(dist_omega(graph, omega))
-    diag = {
-        "method": "projected-supergradient",
-        "realized_spread": float(realized),
-        "norm": float(np.sqrt(np.dot(omega, omega) / n)),
-    }
+    upper = 2.0 * math.sqrt(n) * norm / (n * n)
+    diag.update(upper_bound=upper, realized_spread=float(realized),
+                norm=float(np.sqrt(np.dot(omega, omega) / n)))
+    if abs(upper - realized) > 1e-6 * max(1.0, upper):
+        raise RuntimeError(
+            f"routing bound {upper:.9g} disagrees with realized spread "
+            f"{realized:.9g}"
+        )
     return SpreadLPResult(omega=omega, value=float(realized), p=2.0,
                           diagnostics=diag)
 
@@ -406,20 +347,34 @@ def _cspread_ascent(graph: Graph) -> SpreadLPResult:
 def cspread_lp(graph: Graph, p: float) -> SpreadLPResult:
     """Extremal conformal spread over weights with unit L^p norm.
 
-    p = 1 solves the exact LP over joint (omega, distance) variables;
-    p = 2 runs projected supergradient ascent on the concave spread
-    objective over the L^2 ball (tolerance 1e-6, capped iterations) and
-    raises ValueError for graphs with more than 24 vertices.
+    p = 1 solves the exact LP over joint (omega, distance) variables and
+    raises ValueError for graphs with more than 200 vertices.
+
+    p = 2 is a min-norm routing problem.  A routing's cheapest path
+    between u and v has d(u, v) = sum of omega over the path minus half
+    of each endpoint weight, so n^2 * spread(omega) is the minimum over
+    all-pairs routings of <omega, 2c - (n - 1)>, with c the congestion
+    of the unordered pairs.  Exchanging max and min over the L^2 ball
+    gives cspread_2 = (2 sqrt(n) / n^2) * min |c - (n - 1)/2|_2, found
+    by the least-squares column generation of ``vcong_lp(graph, 2)``
+    with its target shifted by (n - 1)/2.  The weights are
+    omega = sqrt(n) * (c - (n - 1)/2) / |c - (n - 1)/2|_2, positive
+    because every vertex ends n - 1 pairs.  ``value`` is their realized
+    spread, a lower bound; ``diagnostics["upper_bound"]`` is the
+    routing's bound, and RuntimeError is raised when the two differ by
+    more than 1e-6 relative.  p = 2 raises ValueError for graphs with
+    more than 24 vertices.
     """
     _require_connected(graph, "cspread_lp")
-    _require_small_p2(graph, p, "cspread_lp")
+    _require_small(graph, {1: _P1_MAX_N, 2: _P2_MAX_N}.get(p, math.inf),
+                   f"cspread_lp at p={p}")
     if graph.n == 1:
         return SpreadLPResult(omega=np.zeros(1), value=0.0, p=float(p),
                               diagnostics={"trivial": True})
     if p == 1:
         return _cspread_lp_exact(graph)
     if p == 2:
-        return _cspread_ascent(graph)
+        return _cspread_l2(graph)
     raise ValueError("cspread_lp supports p in {1, 2}")
 
 
@@ -487,11 +442,30 @@ def _repair_bundles(demands, pool, cols, weights, floor=1e-12):
     return edge_paths
 
 
+def _price_columns(graph: Graph, z: np.ndarray, thresholds, pool) -> int:
+    """Add to the pool every pair's cheapest path under vertex prices z
+    whose cost, its conformal length plus half of each endpoint price,
+    falls below the pair's threshold; returns how many paths were new.
+    ``thresholds`` follows the sorted demands (u, v), u < v."""
+    n = graph.n
+    added = 0
+    i = 0
+    for u in range(n - 1):
+        dist, pred = shortest_path_tree(graph, z, u)
+        for v in range(u + 1, n):
+            if float(dist[v]) + 0.5 * (z[u] + z[v]) < thresholds[i]:
+                p = extract_path(pred, v)
+                if p not in pool[(u, v)]:
+                    pool[(u, v)].append(p)
+                    added += 1
+            i += 1
+    return added
+
+
 def _vcong_cg_linf(graph: Graph, max_rounds: int = 200) -> CongestionResult:
     n = graph.n
     base = _min_hop_paths(graph)
     demands = sorted(base)
-    dindex = {e: i for i, e in enumerate(demands)}
     pool = {e: [p] for e, p in base.items()}
     diag = {"rounds": 0, "columns": 0}
     while True:
@@ -513,15 +487,7 @@ def _vcong_cg_linf(graph: Graph, max_rounds: int = 200) -> CongestionResult:
         z = np.maximum(-np.asarray(res.ineqlin.marginals), 0.0)
         added = 0
         if diag["rounds"] < max_rounds:
-            for u in range(n):
-                dist, pred = shortest_path_tree(graph, z, u)
-                for v in range(u + 1, n):
-                    cost = float(dist[v]) + 0.5 * (z[u] + z[v])
-                    if cost < y[dindex[(u, v)]] - _PRICE_TOL:
-                        p = extract_path(pred, v)
-                        if p not in pool[(u, v)]:
-                            pool[(u, v)].append(p)
-                            added += 1
+            added = _price_columns(graph, z, y - _PRICE_TOL, pool)
         if added == 0:
             diag["columns"] = k
             edge_paths = _repair_bundles(demands, pool, cols, res.x[:k])
@@ -531,7 +497,11 @@ def _vcong_cg_linf(graph: Graph, max_rounds: int = 200) -> CongestionResult:
                                     p=math.inf, diagnostics=diag)
 
 
-def _vcong_cg_l2(graph: Graph, max_rounds: int = 60) -> CongestionResult:
+def _min_norm_routing(graph: Graph, shift: float,
+                      max_rounds: int = 60) -> tuple:
+    """All-pairs routing whose congestion c minimizes |c - shift|_2, by
+    column generation against a least-squares master; returns the flow
+    and the diagnostics.  Shift 0 is vcong_2, shift (n - 1)/2 cspread_2."""
     n = graph.n
     base = _min_hop_paths(graph)
     demands = sorted(base)
@@ -545,11 +515,11 @@ def _vcong_cg_l2(graph: Graph, max_rounds: int = 60) -> CongestionResult:
         cov_d = cov.toarray()
 
         def objective(x):
-            c = inc_d @ x
+            c = inc_d @ x - shift
             return float(np.dot(c, c))
 
         def gradient(x):
-            return 2.0 * (inc_d.T @ (inc_d @ x))
+            return 2.0 * (inc_d.T @ (inc_d @ x - shift))
 
         x0 = np.empty(k)
         for j, (e, _) in enumerate(cols):
@@ -566,8 +536,7 @@ def _vcong_cg_l2(graph: Graph, max_rounds: int = 60) -> CongestionResult:
             raise RuntimeError(
                 f"congestion QP master infeasible by {viol:.3g}"
             )
-        congestion = inc_d @ x
-        z = 2.0 * congestion
+        z = 2.0 * (inc_d @ x - shift)
         added = 0
         if diag["rounds"] < max_rounds:
             kappa: dict = {}
@@ -575,37 +544,34 @@ def _vcong_cg_l2(graph: Graph, max_rounds: int = 60) -> CongestionResult:
                 cost = float(sum(z[v] for v in set(p)))
                 if e not in kappa or cost < kappa[e]:
                     kappa[e] = cost
-            for u in range(n):
-                dist, pred = shortest_path_tree(graph, z, u)
-                for v in range(u + 1, n):
-                    cost = float(dist[v]) + 0.5 * (z[u] + z[v])
-                    if cost < kappa[(u, v)] - 1e-7 * max(1.0, kappa[(u, v)]):
-                        p = extract_path(pred, v)
-                        if p not in pool[(u, v)]:
-                            pool[(u, v)].append(p)
-                            added += 1
+            thresholds = [kappa[e] - 1e-7 * max(1.0, kappa[e])
+                          for e in demands]
+            added = _price_columns(graph, z, thresholds, pool)
         if added == 0:
             diag["columns"] = k
             diag["master_status"] = int(res.status)
             edge_paths = _repair_bundles(demands, pool, cols, x, floor=1e-9)
             flow = HFlow(graph, complete_graph(n), tuple(range(n)),
                          edge_paths)
-            value = float(np.linalg.norm(congestion_map(flow.aggregate())))
-            return CongestionResult(value=value, flow=flow, p=2.0,
-                                    diagnostics=diag)
+            return flow, diag
 
 
 def vcong_lp(graph: Graph, p: float) -> CongestionResult:
     """All-pairs vertex congestion minimizing the l_p congestion norm.
 
     p = 1 routes every pair along a fewest-vertex path (the separable
-    exact optimum); p = inf and p = 2 run column generation against the
-    min-t LP / least-squares master, pricing candidate paths by
-    Dijkstra under the master's vertex prices.  p = 2 raises ValueError
-    for graphs with more than 24 vertices.
+    exact optimum).  p = inf and p = 2 run column generation against
+    the min-t LP and the least-squares master: each round adds every
+    pair's cheapest path under the master's vertex prices (the LP duals
+    at p = inf, 2c at p = 2) that undercuts the pair's current price
+    (its demand dual at p = inf, its cheapest pooled path at p = 2).
+    The p = 2 master is the one ``cspread_lp(graph, 2)`` runs with its
+    target shifted.  p = 2 raises ValueError for graphs with more than
+    24 vertices.
     """
     _require_connected(graph, "vcong_lp")
-    _require_small_p2(graph, p, "vcong_lp")
+    if p == 2:
+        _require_small(graph, _P2_MAX_N, "vcong_lp at p=2")
     if graph.n == 1:
         flow = HFlow(graph, complete_graph(1), (0,), {})
         return CongestionResult(value=0.0, flow=flow, p=float(p),
@@ -615,7 +581,10 @@ def vcong_lp(graph: Graph, p: float) -> CongestionResult:
     if p == math.inf:
         return _vcong_cg_linf(graph)
     if p == 2:
-        return _vcong_cg_l2(graph)
+        flow, diag = _min_norm_routing(graph, 0.0)
+        value = float(np.linalg.norm(congestion_map(flow.aggregate())))
+        return CongestionResult(value=value, flow=flow, p=2.0,
+                                diagnostics=diag)
     raise ValueError("vcong_lp supports p in {1, 2, inf}")
 
 
@@ -667,7 +636,8 @@ def check_duality(graph: Graph, p: float,
 
     q defaults to the conjugate exponent of p and must equal it when
     given.  For p = inf the corrected identity is
-    vcong = (n * cspread_1 + (n - 1)) / 2, exact by LP duality; p = 1
+    vcong = (n * cspread_1 + (n - 1)) / 2, exact by LP duality (graphs
+    above 200 vertices raise ValueError, as in ``cspread_lp``); p = 1
     uses the same correction at q = inf, where the extremal weight is
     uniform and everything is in closed form.  For p = 2 the corrected
     value is the dual objective at z = c / |c|_2, where c is the
@@ -686,6 +656,8 @@ def check_duality(graph: Graph, p: float,
     n = graph.n
     if p == math.inf:
         q = 1.0
+        # the p = 1 spread LP is the side that cannot scale: refuse first
+        _require_small(graph, _P1_MAX_N, "check_duality at p=inf")
         vres = vcong_lp(graph, math.inf)
         cs = cspread_lp(graph, 1).value
         literal = n ** (2.0 - 1.0 / q) * cs

@@ -390,8 +390,10 @@ def shortest_path_tree(
 ) -> tuple[dict[int, float], dict[int, int | None]]:
     """Single-source Dijkstra keeping predecessors for path extraction.
 
-    Among equal-length shortest paths each vertex records the smallest-id
-    predecessor that attains its distance, which pins down one canonical
+    Among equal-length shortest paths each vertex records, of the
+    neighbours that attain its distance, the smallest-id neighbour settled
+    before it.  A tight neighbour settled later (over a zero-length edge)
+    is ignored, which keeps the tree acyclic, pins down one canonical
     tree and makes every extracted path replayable.
     """
     w = check_weights(graph, omega)

@@ -653,11 +653,11 @@ def _reusing_lp(graph: Graph, result):
 
 
 def _cut_lp_round(graph: Graph, comp, seed):
-    from .flows import cspread_lp
+    from .flows import _P1_MAX_N, cspread_lp
 
-    # the joint (omega, distance) LP targets n <= 200; beyond that the
-    # spectral cut stands in
-    if len(comp) > 200:
+    # beyond the joint (omega, distance) LP's size bound the spectral cut
+    # stands in
+    if len(comp) > _P1_MAX_N:
         return _cut_spectral(graph, comp, seed)
     view = induced_subgraph(graph, comp)
     local = view.graph

@@ -13,6 +13,7 @@ from rigsep.bench import (
     worker_count,
 )
 from rigsep.cli import main
+from rigsep.flows import cspread_lp
 from rigsep.generators import GENERATOR_KINDS, Instance, generate, instance_regions
 from rigsep.graph import complete_graph, connected_components, path_graph
 from rigsep.oracles import min_balanced_separator_exact
@@ -253,6 +254,25 @@ class TestCLI:
             assert main(cmd) == 2, cmd
             assert time.perf_counter() - t0 < 5.0, cmd
             assert capsys.readouterr().err.startswith("rigsep:"), cmd
+
+    def test_lp_p2_matches_cspread_lp(self, workdir, capsys):
+        main(["gen", "grid", "2", "--out", "g.json"])
+        capsys.readouterr()
+        assert main(["lp", "g.json", "--p", "2"]) == 0
+        lp = json.loads(capsys.readouterr().out)
+        res = cspread_lp(generate("grid", 2).graph, 2)
+        assert lp["value"] == res.value
+        assert lp["omega"] == [float(w) for w in res.omega]
+
+    def test_p1_size_guard(self, workdir, capsys):
+        # 201 vertices is past the p = 1 LP's bound: refuse, don't solve
+        with open("p.json", "w") as fh:
+            json.dump({"n": 201, "edges": [[i, i + 1] for i in range(200)]},
+                      fh)
+        t0 = time.perf_counter()
+        assert main(["lp", "p.json"]) == 2
+        assert time.perf_counter() - t0 < 5.0
+        assert capsys.readouterr().err.startswith("rigsep:")
 
     def test_failures_exit_two(self, workdir, capsys):
         assert main(["sep", "missing.json"]) == 2

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -202,6 +203,44 @@ class TestCspreadLP:
             assert got.diagnostics["norm"] == pytest.approx(1.0, rel=1e-6)
             assert got.value == pytest.approx(
                 cspread_exact_small(g, 2), abs=2e-3), g
+
+    def test_l2_closed_forms(self):
+        # K_n routes every pair directly: c = n - 1 everywhere
+        for n in range(2, 7):
+            assert cspread_lp(complete_graph(n), 2).value == pytest.approx(
+                (n - 1) / n, abs=1e-9), n
+        assert cspread_lp(path_graph(3), 2).value == pytest.approx(
+            2 * math.sqrt(2) / 3, abs=1e-9)
+
+    def test_l2_certified_over_catalog(self, catalog_flat):
+        for g in catalog_flat:
+            res = cspread_lp(g, 2)
+            assert np.all(res.omega >= 0), g
+            assert math.sqrt(np.mean(res.omega ** 2)) == pytest.approx(
+                1.0, abs=1e-9), g
+            assert res.diagnostics["upper_bound"] == pytest.approx(
+                res.value, abs=1e-6), g
+
+    def test_l2_no_worse_than_ascent(self):
+        # spreads a projected supergradient ascent reached on
+        # TestDuality.L2_REGRESSIONS
+        ascent = (3.6058286148956116, 2.516163133943194, 1.7967352085816966,
+                  2.045107402591293, 1.6899727563683147)
+        for g, old in zip(TestDuality.L2_REGRESSIONS, ascent):
+            res = cspread_lp(g, 2)
+            assert res.value >= old - 1e-9, g
+            assert res.diagnostics["upper_bound"] - res.value <= \
+                1e-6 * res.value, g
+
+    def test_p1_size_guard(self):
+        # past the p = 1 LP's bound: refuse at once rather than solve
+        g = path_graph(201)
+        for call in (lambda: cspread_lp(g, 1),
+                     lambda: check_duality(g, math.inf)):
+            t0 = time.perf_counter()
+            with pytest.raises(ValueError):
+                call()
+            assert time.perf_counter() - t0 < 1.0
 
     def test_guards(self):
         with pytest.raises(ValueError):

@@ -134,6 +134,15 @@ class TestDistances:
         assert pred[2] == 1
         assert extract_path(pred, 2) == (0, 1, 2)
 
+    def test_shortest_path_tree_ignores_later_tight_neighbours(self):
+        g = Graph(6, [(0, 4), (1, 2), (1, 3), (1, 4), (1, 5), (2, 3),
+                      (2, 4), (3, 4), (4, 5)])
+        dist, pred = shortest_path_tree(g, [1, 1, 0, 0, 1, 0], 0)
+        # 3 is tight for 2 over a zero-length edge, but is settled after
+        # it: the predecessor is the smallest-id neighbour settled before
+        assert dist[2] == dist[3] == 1.5
+        assert pred == {0: None, 4: 0, 1: 2, 2: 4, 3: 2, 5: 4}
+
     def test_extract_path_unreachable(self):
         g = Graph(3, [(0, 1)])
         _, pred = shortest_path_tree(g, np.ones(3), 0)

@@ -17,6 +17,7 @@ from rigsep.flows import cspread_lp
 from rigsep.generators import GENERATOR_KINDS, Instance, generate, instance_regions
 from rigsep.graph import complete_graph, connected_components, path_graph
 from rigsep.oracles import min_balanced_separator_exact
+from rigsep.spectral import DENSE_LIMIT
 
 
 class TestGenerators:
@@ -219,6 +220,16 @@ class TestCLI:
         spec = json.loads(capsys.readouterr().out)
         assert len(spec["eigenvalues"]) == 3
         assert spec["eigenvalues"][0] == pytest.approx(0.0, abs=1e-9)
+
+    def test_full_spectrum_above_dense_limit(self, workdir, capsys):
+        n = DENSE_LIMIT + 2
+        (workdir / "p.json").write_text(json.dumps(
+            {"n": n, "edges": [[v, v + 1] for v in range(n - 1)]}))
+        assert main(["spectrum", "p.json", "--k", str(n)]) == 0
+        spec = json.loads(capsys.readouterr().out)
+        assert len(spec["eigenvalues"]) == n
+        assert spec["eigenvalues"][-1] == pytest.approx(
+            4.0 * math.sin((n - 1) * math.pi / (2.0 * n)) ** 2)
 
     def test_scale_and_oracle(self, workdir, capsys):
         assert main(["scale", "--kind", "gnp", "--sizes", "8,16",

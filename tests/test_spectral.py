@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_connected_graph
+from rigsep import spectral
+from rigsep.generators import generate
 from rigsep.graph import Graph, complete_graph, cycle_graph, path_graph
 from rigsep.spectral import (
+    DENSE_LIMIT,
     _fiedler_vector,
     laplacian_matrix,
     laplacian_spectrum,
@@ -56,6 +60,16 @@ class TestSpectrum:
         want = [4.0 * math.sin(k * math.pi / (2.0 * n)) ** 2
                 for k in range(5)]
         assert np.max(np.abs(got - np.asarray(want))) < 1e-8
+
+    def test_full_spectrum_above_dense_limit(self):
+        # ARPACK cannot return n - 1 or n pairs; those requests go dense
+        n = DENSE_LIMIT + 2
+        want = np.array([4.0 * math.sin(k * math.pi / (2.0 * n)) ** 2
+                         for k in range(n)])
+        for k in (None, n, n - 1):
+            got = laplacian_spectrum(path_graph(n), k).eigenvalues
+            assert np.max(np.abs(got - want[:len(got)])) < 1e-9
+            assert len(got) == (k or n)
 
     def test_sparse_matrix_agrees_with_dense(self):
         g = random_connected_graph(30, 5, extra_edges=20)
@@ -139,6 +153,37 @@ class TestBisection:
         want = {u if (pos[u] < cut_at) == prefix_small else v
                 for u, v in crossing}
         assert spectral_bisection(g) == tuple(sorted(want))
+
+
+def _sign_normalized(vec):
+    lead = np.flatnonzero(np.abs(vec) > 1e-12)
+    return -vec if vec[lead[0]] < 0 else vec
+
+
+class TestSparseFiedler:
+    """Above ``DENSE_LIMIT`` the Fiedler vector comes from shift-inverted
+    Lanczos; it must reproduce itself and the dense route."""
+
+    def test_repeat_solves_are_bit_identical(self):
+        g = generate("planar-triangulation", DENSE_LIMIT + 72, 5).graph
+        first = _fiedler_vector(g)
+        assert np.array_equal(first, _fiedler_vector(g))
+        assert spectral_bisection(g) == spectral_bisection(g)
+
+    @pytest.mark.parametrize("n, seed", [(DENSE_LIMIT + 12, 1),
+                                         (DENSE_LIMIT + 12, 2), (1900, 1)])
+    def test_sparse_solve_matches_dense(self, n, seed, monkeypatch):
+        g = generate("planar-triangulation", n, seed).graph
+        assert g.n > DENSE_LIMIT
+        spec = laplacian_spectrum(g, 2, return_vectors=True)
+        vec = _fiedler_vector(g)
+        lap = laplacian_matrix(g, sparse=True)
+        assert np.linalg.norm(lap @ vec - spec.eigenvalues[1] * vec) < 1e-9
+        _, vecs = scipy.linalg.eigh(laplacian_matrix(g))
+        assert np.max(np.abs(vec - _sign_normalized(vecs[:, 1]))) < 1e-9
+        sep = spectral_bisection(g)
+        monkeypatch.setattr(spectral, "DENSE_LIMIT", g.n)
+        assert spectral_bisection(g) == sep
 
 
 class TestSpreadingConstant:

@@ -9,15 +9,18 @@ distance over conformal weights with unit L^q norm.  The two are tied
 by LP duality; ``check_duality`` evaluates both sides and reports the
 literal textbook form next to the convention-corrected one.
 
-At p = 2 both sides are one least-squares column generation over the
-all-pairs routings: vcong_2 = min |c|_2 and
+Optimal routings come from one column generation: each pair's pool
+starts at its fewest-vertex path, and each round a master solves over
+the pooled columns (the min-t LP at p = inf, least squares at p = 2)
+and one pricing pass adds the cheapest paths that undercut it.  At
+p = 2 it serves both sides: vcong_2 = min |c|_2 and
 cspread_2 = (2 sqrt(n) / n^2) * min |c - (n - 1)/2|_2 over routing
 congestions c (see ``cspread_lp``).  The extremal weights come from the
 optimal routing, and their realized spread must meet its bound.  The
 corrected side of the p = 2 duality is the weak-duality bound at the
 primal's own normalized congestion, so its gap certifies the routing.
 The p = 2 programs refuse graphs above 24 vertices and the p = 1
-spread LP graphs above 200, rather than start solves of many minutes.
+spread LP graphs above 54, rather than start solves of many minutes.
 """
 from __future__ import annotations
 
@@ -59,9 +62,10 @@ __all__ = [
 ]
 
 _PRICE_TOL = 1e-9
-# largest n the p = 1 spread LP accepts: it has n + n^2 variables and
-# 2mn + 1 rows, and lp-round falls back to a spectral cut above it
-_P1_MAX_N = 200
+# largest n the p = 1 spread LP accepts (n + n^2 variables, 2mn + 1
+# rows; lp-round cuts spectrally above it): the slowest solves found on
+# a 2-vCPU host took 9 s at 54 vertices and 10-17 s at 55-60
+_P1_MAX_N = 54
 # largest n the p = 2 solvers accept: on a 2-vCPU host G(24, p) takes
 # 3-9 s for vcong_2 and 3-15 s for cspread_2, G(30, p) over a minute
 _P2_MAX_N = 24
@@ -271,37 +275,29 @@ def _cspread_lp_exact(graph: Graph) -> SpreadLPResult:
     # to the true conformal distance at the optimum.
     n = graph.n
     nvar = n + n * n
-    rows_i: list = []
-    cols_i: list = []
-    vals: list = []
-    nrows = 0
-
-    def dvar(u, v):
-        return n + u * n + v
-
-    for u in range(n):
-        for a0, b0 in graph.edges:
-            for a, b in ((a0, b0), (b0, a0)):
-                # d_u(b) - d_u(a) - (omega_a + omega_b)/2 <= 0
-                rows_i += [nrows, nrows, nrows, nrows]
-                cols_i += [dvar(u, b), dvar(u, a), a, b]
-                vals += [1.0, -1.0, -0.5, -0.5]
-                nrows += 1
-    norm_row = nrows
-    for v in range(n):
-        rows_i.append(norm_row)
-        cols_i.append(v)
-        vals.append(1.0 / n)
-    nrows += 1
-    a_ub = sp.csr_matrix((vals, (rows_i, cols_i)), shape=(nrows, nvar))
-    b_ub = np.zeros(nrows)
-    b_ub[norm_row] = 1.0
+    eu, ev, _ = graph._structure()
+    # a row per source u and direction (a, b) of every sorted edge,
+    # forward then backward: d_u(b) - d_u(a) - (omega_a + omega_b)/2 <= 0
+    a = np.tile(np.column_stack([eu, ev]).ravel(), n)
+    b = np.tile(np.column_stack([ev, eu]).ravel(), n)
+    nrel = a.size
+    du = n + n * np.repeat(np.arange(n), nrel // n)
+    # and a last row: the mean of omega is at most 1
+    rows = np.concatenate([np.repeat(np.arange(nrel), 4), np.full(n, nrel)])
+    cols = np.concatenate([np.column_stack([du + b, du + a, a, b]).ravel(),
+                           np.arange(n)])
+    vals = np.concatenate([np.tile([1.0, -1.0, -0.5, -0.5], nrel),
+                           np.full(n, 1.0 / n)])
+    a_ub = sp.csr_matrix((vals, (rows, cols)), shape=(nrel + 1, nvar))
+    b_ub = np.zeros(nrel + 1)
+    b_ub[-1] = 1.0
 
     c = np.zeros(nvar)
     c[n:] = -1.0 / (n * n)
-    bounds = [(0, None)] * nvar
-    for u in range(n):
-        bounds[dvar(u, u)] = (0, 0)
+    # d[u, u] is pinned at 0
+    upper = np.full(nvar, np.inf)
+    upper[n + np.arange(n) * (n + 1)] = 0.0
+    bounds = np.column_stack([np.zeros(nvar), upper])
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
     if not res.success:
         raise RuntimeError(f"extremal spread LP failed: {res.message}")
@@ -348,7 +344,7 @@ def cspread_lp(graph: Graph, p: float) -> SpreadLPResult:
     """Extremal conformal spread over weights with unit L^p norm.
 
     p = 1 solves the exact LP over joint (omega, distance) variables and
-    raises ValueError for graphs with more than 200 vertices.
+    raises ValueError for graphs with more than 54 vertices.
 
     p = 2 is a min-norm routing problem.  A routing's cheapest path
     between u and v has d(u, v) = sum of omega over the path minus half
@@ -389,20 +385,19 @@ class CongestionResult:
     diagnostics: dict
 
 
-def _min_hop_paths(graph: Graph):
-    ones = np.ones(graph.n)
-    paths = {}
-    for u in range(graph.n):
-        _, pred = shortest_path_tree(graph, ones, u)
-        for v in range(u + 1, graph.n):
-            paths[(u, v)] = extract_path(pred, v)
-    return paths
+def _seed_pool(graph: Graph) -> dict:
+    """One-path pools per sorted demand (u, v), u < v: the fewest-vertex
+    paths the pricing pass finds at unit prices with no threshold."""
+    n = graph.n
+    pool = {(u, v): [] for u in range(n) for v in range(u + 1, n)}
+    _price_columns(graph, np.ones(n), np.full(len(pool), np.inf), pool)
+    return pool
 
 
 def _vcong_exact_l1(graph: Graph) -> CongestionResult:
     # separable objective: each demand independently takes a path with
     # the fewest vertices, so min-hop routing is exact for p = 1.
-    hop_paths = _min_hop_paths(graph)
+    hop_paths = {e: paths[0] for e, paths in _seed_pool(graph).items()}
     value = float(sum(len(p) for p in hop_paths.values()))
     flow = HFlow(graph, complete_graph(graph.n), tuple(range(graph.n)),
                  {e: {p: 1.0} for e, p in hop_paths.items()})
@@ -411,22 +406,26 @@ def _vcong_exact_l1(graph: Graph) -> CongestionResult:
 
 
 def _pool_matrices(graph: Graph, demands, pool):
-    """Coverage (demand x column) and vertex incidence (vertex x column)."""
-    cols = []
-    for e in demands:
-        for p in pool[e]:
-            cols.append((e, p))
-    cov = sp.lil_matrix((len(demands), len(cols)))
-    inc = sp.lil_matrix((graph.n, len(cols)))
-    dindex = {e: i for i, e in enumerate(demands)}
-    for j, (e, p) in enumerate(cols):
-        cov[dindex[e], j] = 1.0
-        for v in set(p):
-            inc[v, j] = 1.0
-    return cols, cov.tocsr(), inc.tocsr()
+    """Coverage (demand x column) and vertex incidence (vertex x column)
+    as CSR matrices.  Columns run through the demands in order and each
+    demand's pool in order; a column covers its demand once and each
+    distinct vertex of its path once."""
+    cols = [(e, p) for e in demands for p in pool[e]]
+    k = len(cols)
+    rows = np.repeat(np.arange(len(demands)), [len(pool[e]) for e in demands])
+    cov = sp.csr_matrix((np.ones(k), (rows, np.arange(k))),
+                        shape=(len(demands), k))
+    lengths = [len(p) for _, p in cols]
+    verts = np.fromiter((v for _, p in cols for v in p), dtype=np.intp,
+                        count=sum(lengths))
+    # one key per distinct (vertex, column), sorted row-major
+    keys = np.unique(verts * k + np.repeat(np.arange(k), lengths))
+    inc = sp.csr_matrix((np.ones(keys.size), (keys // k, keys % k)),
+                        shape=(graph.n, k))
+    return cols, cov, inc
 
 
-def _repair_bundles(demands, pool, cols, weights, floor=1e-12):
+def _repair_bundles(demands, pool, cols, weights, floor):
     """Collect positive column weights per demand and renormalize away
     the solver's last-digit slack so each bundle sums to one."""
     edge_paths: dict = {e: {} for e in demands}
@@ -462,55 +461,30 @@ def _price_columns(graph: Graph, z: np.ndarray, thresholds, pool) -> int:
     return added
 
 
-def _vcong_cg_linf(graph: Graph, max_rounds: int = 200) -> CongestionResult:
-    n = graph.n
-    base = _min_hop_paths(graph)
-    demands = sorted(base)
-    pool = {e: [p] for e, p in base.items()}
-    diag = {"rounds": 0, "columns": 0}
-    while True:
-        diag["rounds"] += 1
-        cols, cov, inc = _pool_matrices(graph, demands, pool)
-        k = len(cols)
-        c = np.zeros(k + 1)
-        c[-1] = 1.0
-        a_eq = sp.hstack([cov, sp.csr_matrix((len(demands), 1))],
-                         format="csr")
-        a_ub = sp.hstack([inc, sp.csr_matrix(-np.ones((n, 1)))],
-                         format="csr")
-        res = linprog(c, A_ub=a_ub, b_ub=np.zeros(n), A_eq=a_eq,
-                      b_eq=np.ones(len(demands)), bounds=(0, None),
-                      method="highs")
-        if not res.success:
-            raise RuntimeError(f"congestion master LP failed: {res.message}")
-        y = np.asarray(res.eqlin.marginals)
-        z = np.maximum(-np.asarray(res.ineqlin.marginals), 0.0)
-        added = 0
-        if diag["rounds"] < max_rounds:
-            added = _price_columns(graph, z, y - _PRICE_TOL, pool)
-        if added == 0:
-            diag["columns"] = k
-            edge_paths = _repair_bundles(demands, pool, cols, res.x[:k])
-            flow = HFlow(graph, complete_graph(n), tuple(range(n)),
-                         edge_paths)
-            return CongestionResult(value=float(res.x[-1]), flow=flow,
-                                    p=math.inf, diagnostics=diag)
+def _min_congestion_master(cols, cov, inc) -> tuple:
+    """min t: every demand routes one unit over its columns and every
+    vertex carries at most t.  Prices are the vertex duals, thresholds
+    the demand duals less a tolerance."""
+    n, k = inc.shape
+    d = cov.shape[0]
+    c = np.zeros(k + 1)
+    c[-1] = 1.0
+    a_eq = sp.hstack([cov, sp.csr_matrix((d, 1))], format="csr")
+    a_ub = sp.hstack([inc, sp.csr_matrix(-np.ones((n, 1)))], format="csr")
+    res = linprog(c, A_ub=a_ub, b_ub=np.zeros(n), A_eq=a_eq,
+                  b_eq=np.ones(d), bounds=(0, None), method="highs")
+    if not res.success:
+        raise RuntimeError(f"congestion master LP failed: {res.message}")
+    y = np.asarray(res.eqlin.marginals)
+    z = np.maximum(-np.asarray(res.ineqlin.marginals), 0.0)
+    return res.x[:k], z, y - _PRICE_TOL, float(res.x[-1]), {}
 
 
-def _min_norm_routing(graph: Graph, shift: float,
-                      max_rounds: int = 60) -> tuple:
-    """All-pairs routing whose congestion c minimizes |c - shift|_2, by
-    column generation against a least-squares master; returns the flow
-    and the diagnostics.  Shift 0 is vcong_2, shift (n - 1)/2 cspread_2."""
-    n = graph.n
-    base = _min_hop_paths(graph)
-    demands = sorted(base)
-    pool = {e: [p] for e, p in base.items()}
-    diag = {"rounds": 0, "columns": 0}
-    while True:
-        diag["rounds"] += 1
-        cols, cov, inc = _pool_matrices(graph, demands, pool)
-        k = len(cols)
+def _least_squares_master(shift: float):
+    """min |inc x - shift|_2^2 over per-demand convex combinations, by
+    SLSQP from the even split; prices z = 2(inc x - shift), thresholds
+    each demand's cheapest pooled column under z less a tolerance."""
+    def master(cols, cov, inc) -> tuple:
         inc_d = inc.toarray()
         cov_d = cov.toarray()
 
@@ -521,11 +495,11 @@ def _min_norm_routing(graph: Graph, shift: float,
         def gradient(x):
             return 2.0 * (inc_d.T @ (inc_d @ x - shift))
 
-        x0 = np.empty(k)
-        for j, (e, _) in enumerate(cols):
-            x0[j] = 1.0 / len(pool[e])
+        # a demand's columns are one contiguous run: row i of cov
+        sizes = np.diff(cov.indptr)
+        x0 = 1.0 / np.repeat(sizes, sizes)
         res = minimize(objective, x0, jac=gradient, method="SLSQP",
-                       bounds=[(0, None)] * k,
+                       bounds=[(0, None)] * len(cols),
                        constraints=[{"type": "eq",
                                      "fun": lambda x: cov_d @ x - 1.0,
                                      "jac": lambda x: cov_d}],
@@ -537,37 +511,58 @@ def _min_norm_routing(graph: Graph, shift: float,
                 f"congestion QP master infeasible by {viol:.3g}"
             )
         z = 2.0 * (inc_d @ x - shift)
-        added = 0
-        if diag["rounds"] < max_rounds:
-            kappa: dict = {}
-            for (e, p) in cols:
-                cost = float(sum(z[v] for v in set(p)))
-                if e not in kappa or cost < kappa[e]:
-                    kappa[e] = cost
-            thresholds = [kappa[e] - 1e-7 * max(1.0, kappa[e])
-                          for e in demands]
-            added = _price_columns(graph, z, thresholds, pool)
-        if added == 0:
-            diag["columns"] = k
-            diag["master_status"] = int(res.status)
-            edge_paths = _repair_bundles(demands, pool, cols, x, floor=1e-9)
+        # summed in set order, as congestion_map charges a path
+        costs = np.array([float(sum(z[v] for v in set(p))) for _, p in cols])
+        kappa = np.minimum.reduceat(costs, cov.indptr[:-1])
+        return (x, z, kappa - 1e-7 * np.maximum(1.0, kappa), float(res.fun),
+                {"master_status": int(res.status)})
+    return master
+
+
+def _column_generation(graph: Graph, master, max_rounds: int,
+                       floor: float) -> tuple:
+    """(flow, diagnostics, last objective) of an all-pairs routing by
+    column generation from the seed pool.  Each round
+    ``master(cols, cov, inc)`` returns column weights, vertex prices,
+    per-demand thresholds, its objective and its diagnostics; pricing
+    adds every pair's cheapest path under its threshold, until none or
+    ``max_rounds`` rounds.  Weights at or below ``floor`` are dropped."""
+    n = graph.n
+    pool = _seed_pool(graph)
+    demands = list(pool)
+    diag = {"rounds": 0, "columns": 0}
+    while True:
+        diag["rounds"] += 1
+        cols, cov, inc = _pool_matrices(graph, demands, pool)
+        x, z, thresholds, objective, report = master(cols, cov, inc)
+        if (diag["rounds"] >= max_rounds
+                or _price_columns(graph, z, thresholds, pool) == 0):
+            diag.update(columns=len(cols), **report)
             flow = HFlow(graph, complete_graph(n), tuple(range(n)),
-                         edge_paths)
-            return flow, diag
+                         _repair_bundles(demands, pool, cols, x, floor))
+            return flow, diag, objective
+
+
+def _min_norm_routing(graph: Graph, shift: float) -> tuple:
+    """Flow and diagnostics of the all-pairs routing whose congestion c
+    minimizes |c - shift|_2: vcong_2 at shift 0, cspread_2 at (n-1)/2."""
+    flow, diag, _ = _column_generation(graph, _least_squares_master(shift),
+                                       max_rounds=60, floor=1e-9)
+    return flow, diag
 
 
 def vcong_lp(graph: Graph, p: float) -> CongestionResult:
     """All-pairs vertex congestion minimizing the l_p congestion norm.
 
-    p = 1 routes every pair along a fewest-vertex path (the separable
-    exact optimum).  p = inf and p = 2 run column generation against
-    the min-t LP and the least-squares master: each round adds every
-    pair's cheapest path under the master's vertex prices (the LP duals
-    at p = inf, 2c at p = 2) that undercuts the pair's current price
-    (its demand dual at p = inf, its cheapest pooled path at p = 2).
-    The p = 2 master is the one ``cspread_lp(graph, 2)`` runs with its
-    target shifted.  p = 2 raises ValueError for graphs with more than
-    24 vertices.
+    All p seed each pair with a fewest-vertex path, which p = 1 keeps
+    (the separable exact optimum).  p = inf and p = 2 run one column
+    generation from that seed pool with one master each, the min-t LP
+    and least squares; the shared pricing pass adds every pair's
+    cheapest path under the master's vertex prices (the LP duals at
+    p = inf, 2c at p = 2) that undercuts the pair's threshold (its
+    demand dual, its cheapest pooled path).  The p = 2 master is the one
+    ``cspread_lp(graph, 2)`` runs with its target shifted.  p = 2 raises
+    ValueError for graphs with more than 24 vertices.
     """
     _require_connected(graph, "vcong_lp")
     if p == 2:
@@ -579,13 +574,15 @@ def vcong_lp(graph: Graph, p: float) -> CongestionResult:
     if p == 1:
         return _vcong_exact_l1(graph)
     if p == math.inf:
-        return _vcong_cg_linf(graph)
-    if p == 2:
+        flow, diag, value = _column_generation(
+            graph, _min_congestion_master, max_rounds=200, floor=1e-12)
+    elif p == 2:
         flow, diag = _min_norm_routing(graph, 0.0)
         value = float(np.linalg.norm(congestion_map(flow.aggregate())))
-        return CongestionResult(value=value, flow=flow, p=2.0,
-                                diagnostics=diag)
-    raise ValueError("vcong_lp supports p in {1, 2, inf}")
+    else:
+        raise ValueError("vcong_lp supports p in {1, 2, inf}")
+    return CongestionResult(value=value, flow=flow, p=float(p),
+                            diagnostics=diag)
 
 
 # ---------------------------------------------------------------------------
@@ -637,7 +634,7 @@ def check_duality(graph: Graph, p: float,
     q defaults to the conjugate exponent of p and must equal it when
     given.  For p = inf the corrected identity is
     vcong = (n * cspread_1 + (n - 1)) / 2, exact by LP duality (graphs
-    above 200 vertices raise ValueError, as in ``cspread_lp``); p = 1
+    above 54 vertices raise ValueError, as in ``cspread_lp``); p = 1
     uses the same correction at q = inf, where the extremal weight is
     uniform and everything is in closed form.  For p = 2 the corrected
     value is the dual objective at z = c / |c|_2, where c is the

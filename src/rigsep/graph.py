@@ -338,6 +338,16 @@ class MetricView:
         return self.dist
 
 
+def _length_matrix(graph: Graph, w: np.ndarray, vs: np.ndarray):
+    """Conformal edge lengths (w[u] + w[v]) / 2 of the subgraph induced
+    on the sorted vertex array ``vs``, as a CSR matrix on local ids with
+    each edge once, for csgraph's ``directed=False``."""
+    lu, lv = _induced_edges(graph, vs)
+    wl = w[vs]
+    length = 0.5 * (wl[lu] + wl[lv])
+    return csr_matrix((length, (lu, lv)), shape=(vs.size, vs.size))
+
+
 def dist_omega(
     graph: Graph,
     omega,
@@ -370,11 +380,7 @@ def dist_omega(
                 raise ValueError(f"source {s} not in the (sub)graph")
     if vs.size == 0:
         return MetricView((), tuple(src), np.empty((len(src), 0)))
-    lu, lv = _induced_edges(graph, vs)
-    wl = w[vs]
-    length = 0.5 * (wl[lu] + wl[lv])
-    mat = csr_matrix((length, (lu, lv)), shape=(vs.size, vs.size))
-    dist = _csgraph.dijkstra(mat, directed=False,
+    dist = _csgraph.dijkstra(_length_matrix(graph, w, vs), directed=False,
                              indices=[pos[s] for s in src])
     if dist.ndim == 1:
         dist = dist[None, :]

@@ -17,12 +17,14 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csgraph as _csgraph
 
 from ._rng import substream
 from .graph import (
     LIPSCHITZ_TOL,
     Graph,
     MetricView,
+    _length_matrix,
     check_weights,
     connected_components,
     dist_omega,
@@ -462,8 +464,13 @@ def _edge_lipschitz_check(graph: Graph, w, f):
 
 
 def _distance_to_set(graph: Graph, w, targets):
-    mv = dist_omega(graph, w, targets)
-    return np.min(mv.dist, axis=0)
+    """Distance from every vertex to its nearest target, by one
+    multi-source Dijkstra."""
+    idx = np.asarray(targets, dtype=np.intp)
+    if idx.size == 0 or idx.min() < 0 or idx.max() >= graph.n:
+        raise ValueError("targets must be a nonempty set of vertices")
+    return _csgraph.dijkstra(_length_matrix(graph, w, np.arange(graph.n)),
+                             directed=False, indices=idx, min_only=True)
 
 
 def rounding_map_ball(graph: Graph, omega, x0: int, radius: float) -> np.ndarray:

@@ -276,9 +276,9 @@ class TestCLI:
         assert lp["omega"] == [float(w) for w in res.omega]
 
     def test_p1_size_guard(self, workdir, capsys):
-        # 201 vertices is past the p = 1 LP's bound: refuse, don't solve
+        # 55 vertices is past the p = 1 LP's bound: refuse, don't solve
         with open("p.json", "w") as fh:
-            json.dump({"n": 201, "edges": [[i, i + 1] for i in range(200)]},
+            json.dump({"n": 55, "edges": [[i, i + 1] for i in range(54)]},
                       fh)
         t0 = time.perf_counter()
         assert main(["lp", "p.json"]) == 2

@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linprog
 
 from conftest import random_connected_graph
 from test_rig import random_regions
@@ -17,6 +18,7 @@ from rigsep.graph import (
     path_graph,
     spread,
 )
+from rigsep import flows
 from rigsep.flows import (
     _l2_dual_bound,
     CrossingReport,
@@ -233,14 +235,48 @@ class TestCspreadLP:
                 1e-6 * res.value, g
 
     def test_p1_size_guard(self):
-        # past the p = 1 LP's bound: refuse at once rather than solve
-        g = path_graph(201)
+        # past the p = 1 LP's bound of 54 vertices: refuse at once
+        # rather than solve
+        g = path_graph(55)
         for call in (lambda: cspread_lp(g, 1),
                      lambda: check_duality(g, math.inf)):
             t0 = time.perf_counter()
             with pytest.raises(ValueError):
                 call()
             assert time.perf_counter() - t0 < 1.0
+
+    def test_p1_lp_rows(self, monkeypatch):
+        # the spread LP's constraint matrix against the row-by-row form
+        calls = []
+
+        def capture(c, **kw):
+            calls.append(kw)
+            return linprog(c, **kw)
+
+        monkeypatch.setattr(flows, "linprog", capture)
+        for g in (path_graph(4), cycle_graph(5), grid_graph(2),
+                  random_connected_graph(7, 1, 4)):
+            calls.clear()
+            cspread_lp(g, 1)
+            (kw,) = calls
+            n = g.n
+            want = np.zeros((2 * g.m * n + 1, n + n * n))
+            row = 0
+            for u in range(n):
+                for a0, b0 in g.edges:
+                    for a, b in ((a0, b0), (b0, a0)):
+                        want[row, n + u * n + b] += 1.0
+                        want[row, n + u * n + a] -= 1.0
+                        want[row, a] -= 0.5
+                        want[row, b] -= 0.5
+                        row += 1
+            want[row, :n] = 1.0 / n
+            assert np.array_equal(kw["A_ub"].toarray(), want), g
+            bounds = np.asarray(kw["bounds"])
+            diagonal = n + np.arange(n) * (n + 1)
+            assert np.all(bounds[:, 0] == 0.0)
+            assert np.all(bounds[diagonal, 1] == 0.0)
+            assert np.all(np.delete(bounds[:, 1], diagonal) == np.inf)
 
     def test_guards(self):
         with pytest.raises(ValueError):
@@ -287,6 +323,68 @@ class TestVcongLP:
             check_duality(path_graph(25), 2)
         trivial = vcong_lp(Graph(1, []), math.inf)
         assert trivial.value == 0.0
+
+
+def _dense_pool(n, demands, pool):
+    """Columns, coverage and incidence written out entry by entry."""
+    cols = [(e, p) for e in demands for p in pool[e]]
+    cov = np.zeros((len(demands), len(cols)))
+    inc = np.zeros((n, len(cols)))
+    for j, (e, p) in enumerate(cols):
+        cov[demands.index(e), j] = 1.0
+        for v in p:
+            inc[v, j] = 1.0
+    return cols, cov, inc
+
+
+def _recorded_pools(monkeypatch, runs):
+    """Every (n, demands, pool) a column generation built matrices for."""
+    seen = []
+    build = flows._pool_matrices
+
+    def record(graph, demands, pool):
+        seen.append((graph.n, list(demands),
+                     {e: list(ps) for e, ps in pool.items()}))
+        return build(graph, demands, pool)
+
+    monkeypatch.setattr(flows, "_pool_matrices", record)
+    for g, p in runs:
+        vcong_lp(g, p)
+    monkeypatch.undo()
+    return seen
+
+
+class TestPoolMatrices:
+    def _check(self, n, demands, pool):
+        cols, cov, inc = flows._pool_matrices(Graph(n), demands, pool)
+        want_cols, want_cov, want_inc = _dense_pool(n, demands, pool)
+        assert cols == want_cols
+        for got, want in ((cov, want_cov), (inc, want_inc)):
+            assert got.format == "csr" and got.has_canonical_format
+            assert got.dtype == np.float64
+            assert np.array_equal(got.toarray(), want)
+
+    def test_pools_of_real_runs(self, catalog, monkeypatch):
+        runs = [(g, p) for n in sorted(catalog) for g in catalog[n]
+                for p in (2, math.inf)]
+        runs += [(grid_graph(3), math.inf), (cycle_graph(8), 2),
+                 (random_connected_graph(10, 3, 6), 2),
+                 (random_connected_graph(10, 3, 6), math.inf)]
+        pools = _recorded_pools(monkeypatch, runs)
+        assert len(pools) >= len(runs)
+        # some pools grew past the seed paths
+        assert any(sum(map(len, pool.values())) > len(d)
+                   for _, d, pool in pools)
+        for n, demands, pool in pools:
+            self._check(n, demands, pool)
+
+    def test_repeated_vertex_counts_once(self):
+        demands = [(0, 1), (0, 2), (1, 2)]
+        pool = {(0, 1): [(0, 1)], (0, 2): [(0, 1, 2), (0, 3, 0, 2)],
+                (1, 2): [(1, 2), (1, 0, 3, 0, 2), (1, 3, 2)]}
+        self._check(4, demands, pool)
+        _, _, inc = flows._pool_matrices(Graph(4), demands, pool)
+        assert inc[0, 2] == inc[0, 4] == 1.0 and inc.sum() == 17
 
 
 class TestDuality:

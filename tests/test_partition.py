@@ -19,6 +19,7 @@ from rigsep.graph import (
 )
 from rigsep.oracles import vertex_expansion_exact
 from rigsep.partition import (
+    _distance_to_set,
     build_chopping_tree,
     chop_delta,
     cut_delta,
@@ -299,6 +300,26 @@ class TestRoundingMaps:
             rounding_map_coloring(g, w, blocks)  # needs a seed
         with pytest.raises(ValueError):
             rounding_map_coloring(g, w, ())
+
+    def test_distance_to_set_is_the_row_minimum(self, catalog_flat):
+        # one multi-source search against the minimum over per-target
+        # rows, with zero weights (zero-length edges) mixed in
+        graphs = list(catalog_flat) + [grid_graph(5),
+                                       random_connected_graph(30, 4, 20)]
+        for i, g in enumerate(graphs):
+            rng = substream(11, "distance-to-set", i)
+            w = rng.random(g.n) * 3.0
+            w[rng.random(g.n) < 0.3] = 0.0
+            size = int(rng.integers(1, g.n + 1))
+            targets = [int(v) for v in rng.choice(g.n, size, replace=False)]
+            want = np.min(dist_omega(g, w, targets).dist, axis=0)
+            assert np.array_equal(_distance_to_set(g, w, targets), want), g
+
+    def test_distance_to_set_needs_targets(self):
+        g = path_graph(3)
+        for targets in ([], [3], [-1]):
+            with pytest.raises(ValueError):
+                _distance_to_set(g, np.ones(3), targets)
 
 
 class TestSweepCut:

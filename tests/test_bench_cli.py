@@ -256,8 +256,8 @@ class TestCLI:
         assert cs["value"] > 0
 
     def test_p2_size_guard(self, workdir, capsys):
-        # 25 vertices is past the p = 2 solvers' bound: refuse, don't solve
-        main(["gen", "grid", "4", "--out", "g.json"])
+        # 94 vertices is past the p = 2 solvers' bound: refuse, don't solve
+        main(["gen", "gnp", "94", "--out", "g.json"])
         capsys.readouterr()
         for cmd in (["duality", "g.json", "--p", "2"],
                     ["lp", "g.json", "--p", "2"]):

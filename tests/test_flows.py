@@ -1,10 +1,12 @@
+import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.optimize import linprog
+from scipy.optimize import linprog, minimize
 
 from conftest import random_connected_graph
 from test_rig import random_regions
@@ -37,6 +39,8 @@ from rigsep.oracles import cspread_exact_small
 from rigsep.rig import RegionAssignment, build_rig, distinguished_vertices
 
 STAR4 = Graph(4, [(0, 3), (1, 3), (2, 3)])
+K33 = Graph(6, [(a, b) for a in range(3) for b in range(3, 6)])
+L2_SLSQP_VALUES = Path(__file__).parent / "data" / "l2_slsqp_values.json"
 
 
 def star_regions():
@@ -284,7 +288,7 @@ class TestCspreadLP:
         with pytest.raises(ValueError):
             cspread_lp(path_graph(3), 3)
         with pytest.raises(ValueError):
-            cspread_lp(path_graph(25), 2)
+            cspread_lp(path_graph(94), 2)
         trivial = cspread_lp(Graph(1, []), 1)
         assert trivial.value == 0.0
 
@@ -318,9 +322,9 @@ class TestVcongLP:
         with pytest.raises(ValueError):
             vcong_lp(path_graph(3), 1.5)
         with pytest.raises(ValueError):
-            vcong_lp(path_graph(25), 2)
+            vcong_lp(path_graph(94), 2)
         with pytest.raises(ValueError):
-            check_duality(path_graph(25), 2)
+            check_duality(path_graph(94), 2)
         trivial = vcong_lp(Graph(1, []), math.inf)
         assert trivial.value == 0.0
 
@@ -387,6 +391,81 @@ class TestPoolMatrices:
         assert inc[0, 2] == inc[0, 4] == 1.0 and inc.sum() == 17
 
 
+@pytest.fixture(scope="module")
+def l2_master_calls(catalog_flat):
+    """(graph, shift, cov, inc, weights, objective) of every p = 2 master
+    call in vcong_lp(g, 2) and cspread_lp(g, 2) over the catalog, K_3,3
+    and G(n, p) with 8 to 20 vertices."""
+    graphs = list(catalog_flat) + [K33] + [
+        generate("gnp", n, s).graph for n in range(8, 21, 3) for s in (0, 1)]
+    calls = []
+    build = flows._least_squares_master
+
+    def record(shift):
+        master = build(shift)
+
+        def call(cols, cov, inc):
+            out = master(cols, cov, inc)
+            calls.append((g, shift, cov, inc, out[0], out[3]))
+            return out
+        return call
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flows, "_least_squares_master", record)
+        for g in graphs:
+            vcong_lp(g, 2)
+            cspread_lp(g, 2)
+    return calls
+
+
+def _slsqp_objective(shift, cov, inc) -> float:
+    """The master's optimum as an SLSQP solve from the even split finds
+    it, with the settings the p = 2 master once used."""
+    a, e = inc.toarray(), cov.toarray()
+    sizes = np.diff(cov.indptr)
+    res = minimize(lambda x: float(np.sum((a @ x - shift) ** 2)),
+                   1.0 / np.repeat(sizes, sizes),
+                   jac=lambda x: 2.0 * (a.T @ (a @ x - shift)),
+                   method="SLSQP", bounds=[(0, None)] * a.shape[1],
+                   constraints=[{"type": "eq", "fun": lambda x: e @ x - 1.0,
+                                 "jac": lambda x: e}],
+                   options={"maxiter": 400, "ftol": 1e-12})
+    return float(res.fun)
+
+
+class TestLeastSquaresMaster:
+    def test_kkt(self, l2_master_calls):
+        # some pools grew past the seed paths
+        assert any(inc.shape[1] > cov.shape[0]
+                   for _, _, cov, inc, _, _ in l2_master_calls)
+        for g, shift, cov, inc, x, objective in l2_master_calls:
+            assert np.all(x >= 0), g
+            assert np.max(np.abs(cov @ x - 1.0)) <= 1e-12, g
+            residual = inc @ x - shift
+            assert objective == pytest.approx(residual @ residual,
+                                              rel=1e-12), g
+            grad = 2.0 * (inc.T @ residual)
+            tol = 1e-9 * max(1.0, float(np.abs(grad).max()))
+            starts = cov.indptr[:-1]
+            demand = np.repeat(np.arange(starts.size), np.diff(cov.indptr))
+            used = np.minimum.reduceat(np.where(x > 0, grad, np.inf), starts)
+            # no pooled column undercuts the columns its demand uses ...
+            assert np.all(grad >= used[demand] - tol), (g, shift)
+            # ... and those all price alike
+            assert np.all(grad[x > 0] <= used[demand][x > 0] + tol), (g, shift)
+
+    def test_no_worse_than_slsqp(self, l2_master_calls):
+        for g, shift, cov, inc, _, objective in l2_master_calls:
+            ref = _slsqp_objective(shift, cov, inc)
+            assert objective <= ref + 1e-9 * max(1.0, ref), (g, shift)
+
+    def test_k33_third_round(self, l2_master_calls):
+        # NNLS with weighted equality rows stopped at 79.18 here
+        got = [obj for g, shift, _, _, _, obj in l2_master_calls
+               if g is K33 and shift == 2.5]
+        assert got[2] == pytest.approx(73.5, abs=1e-9)
+
+
 class TestDuality:
     GRAPHS = (complete_graph(2), complete_graph(3), path_graph(3),
               cycle_graph(5), path_graph(5))
@@ -411,6 +490,25 @@ class TestDuality:
         if p == 2:
             got = [rep.corrected_rhs for rep in reps[:len(self.GRAPHS)]]
             assert got == pytest.approx(self.L2_CORRECTED, abs=1e-6)
+
+    def test_l2_no_worse_than_slsqp_master(self, catalog_flat):
+        # values the SLSQP master reached, over the catalog and 21 G(n, p)
+        ref = json.loads(L2_SLSQP_VALUES.read_text())
+        assert len(ref["catalog"]) == len(catalog_flat)
+        runs = [(g, v, c) for g, (v, c) in zip(catalog_flat, ref["catalog"])]
+        runs += [(generate("gnp", n, s).graph, v, c)
+                 for n, s, v, c in ref["gnp"]]
+        for g, vcong, cspread in runs:
+            rep = check_duality(g, 2)
+            assert rep.cspread >= cspread - 1e-9 * cspread, g
+            assert rep.vcong <= vcong * (1.0 + 1e-9), g
+            assert rep.corrected_rel_gap <= 1e-9, g
+
+    def test_l2_at_size_cap(self):
+        g = generate("gnp", flows._P2_MAX_N, 0).graph
+        assert g.n == flows._P2_MAX_N
+        rep = check_duality(g, 2)
+        assert rep.ok and rep.corrected_rel_gap <= 1e-9
 
     def test_l2_bound_is_a_certificate(self, catalog_flat):
         # weak duality: the bound at any routing's congestion stays below

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csgraph as _csgraph
+from scipy.sparse import csr_matrix
 
 from ._rng import substream
 from .graph import (
@@ -54,6 +55,15 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # cut / chop
+
+def _check_metric(graph: Graph, metric):
+    """Reject a ``metric=`` argument that is not an all-pairs view over
+    every vertex of ``graph``: its rows are read by vertex id."""
+    if metric is not None and not (
+            metric.all_pairs and metric.vertices == tuple(range(graph.n))):
+        raise ValueError("metric must be the all-pairs view over all "
+                         "vertices of the graph")
+
 
 def _interval_data(graph: Graph, omega, center, *, subset=None, metric=None):
     w = check_weights(graph, omega)
@@ -143,7 +153,8 @@ class ChoppingTree:
 
 def build_chopping_tree(graph: Graph, omega, delta: float, *, depth: int,
                         sigma=None, seed: int | None = None, subset=None,
-                        stream=()) -> ChoppingTree:
+                        stream=(), metric: MetricView | None = None
+                        ) -> ChoppingTree:
     """Recursive chop decomposition with farthest-point child centers.
 
     The root covers the whole (sub)graph with the smallest vertex as
@@ -152,12 +163,18 @@ def build_chopping_tree(graph: Graph, omega, delta: float, *, depth: int,
     seeded substream); each child's center maximizes the ambient
     distance to all centers on the path above it, ties to the smallest
     id, and records that distance as its spacing.
+
+    ``metric``, if given, must be the all-pairs ``dist_omega(graph,
+    omega)``.  When the tree covers the whole graph, the root row, the
+    root's chop and the level-center rows are read from it instead of
+    recomputed; deeper chops still measure inside their own nodes.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     if delta <= 0:
         raise ValueError("delta must be positive")
     w = check_weights(graph, omega)
+    _check_metric(graph, metric)
     if subset is None:
         vs = tuple(range(graph.n))
     else:
@@ -166,6 +183,8 @@ def build_chopping_tree(graph: Graph, omega, delta: float, *, depth: int,
         raise ValueError("cannot build a chopping tree on an empty set")
     if len(connected_components(graph, subset=vs)) != 1:
         raise ValueError("chopping tree needs a connected (sub)graph")
+    if len(vs) != graph.n:
+        metric = None  # the rows of a subset tree come from its subgraph
 
     def draw_tau(path):
         if callable(sigma):
@@ -182,7 +201,10 @@ def build_chopping_tree(graph: Graph, omega, delta: float, *, depth: int,
 
     pos = {v: i for i, v in enumerate(vs)}
     root = ChopNode(vs, vs[0], 0, (), math.inf, None)
-    root_row = dist_omega(graph, w, [root.center], subset=vs).row(root.center)
+    if metric is None:
+        root_row = dist_omega(graph, w, [root.center], subset=vs).row(root.center)
+    else:
+        root_row = metric.row(root.center)
     nodes = [root]
     rows = {0: root_row}
     mindist = {0: root_row.copy()}
@@ -194,7 +216,8 @@ def build_chopping_tree(graph: Graph, omega, delta: float, *, depth: int,
             tau = draw_tau(node.path)
             node.tau = tau
             comps = chop_delta(graph, w, node.center, tau, delta,
-                               subset=node.vertices)
+                               subset=node.vertices,
+                               metric=metric if ni == 0 else None)
             kids = []
             for ci, comp in enumerate(comps):
                 md = mindist[ni]
@@ -211,7 +234,10 @@ def build_chopping_tree(graph: Graph, omega, delta: float, *, depth: int,
         if not pending:
             break
         centers = [nodes[i].center for i in pending]
-        mat = dist_omega(graph, w, centers, subset=vs).dist
+        if metric is None:
+            mat = dist_omega(graph, w, centers, subset=vs).dist
+        else:
+            mat = metric.dist[centers]
         for r, idx in enumerate(pending):
             rows[idx] = mat[r]
             mindist[idx] = np.minimum(mindist[nodes[idx].parent], mat[r])
@@ -284,8 +310,8 @@ def _sphere_shards(w, varr, dists, radii):
 def _assert_component_diameters(graph, w, comps, bound, *, ambient=None):
     for comp in comps:
         mv = dist_omega(graph, w, comp, subset=ambient)
-        cols = [i for i, v in enumerate(mv.vertices) if v in set(comp)]
-        diam = float(np.max(mv.dist[:, cols])) if cols else 0.0
+        cols = np.flatnonzero(np.isin(mv.vertices, comp))
+        diam = float(np.max(mv.dist[:, cols])) if cols.size else 0.0
         if diam > bound:
             raise RuntimeError(
                 f"component diameter {diam:.6g} exceeds certified bound "
@@ -331,12 +357,17 @@ def random_separator(graph: Graph, omega, delta: float, h: int, seed: int,
     not even covered by radius 21*h*delta around their centers are
     recorded as spacing events, the one case where the certificate is
     not guaranteed.
+
+    ``metric``, if given, must be the all-pairs ``dist_omega(graph,
+    omega)``; the chopping trees and the diameter certificate then read
+    its rows instead of recomputing them.
     """
     if h < 1:
         raise ValueError("h must be at least 1")
     if delta <= 0:
         raise ValueError("delta must be positive")
     w = check_weights(graph, omega)
+    _check_metric(graph, metric)
     n = graph.n
     big_delta = 21.0 * h * delta
     q = tuple(int(v) for v in np.flatnonzero(w > delta))
@@ -349,7 +380,7 @@ def random_separator(graph: Graph, omega, delta: float, h: int, seed: int,
     for comp in connected_components(graph, subset=rest):
         tree = build_chopping_tree(
             graph, w, delta, depth=h - 1, seed=seed,
-            subset=comp, stream=("comp", comp[0]),
+            subset=comp, stream=("comp", comp[0]), metric=metric,
         )
         leaves = tree.nodes_at_depth(h - 1)
         in_leaves: set[int] = set()
@@ -463,32 +494,40 @@ def _edge_lipschitz_check(graph: Graph, w, f):
         )
 
 
-def _distance_to_set(graph: Graph, w, targets):
-    """Distance from every vertex to its nearest target, by one
-    multi-source Dijkstra."""
+def _distance_to_set(graph: Graph, w, targets, metric=None):
+    """Distance from every vertex to its nearest target: the minimum of
+    the targets' rows of an all-pairs ``metric``, else one multi-source
+    Dijkstra.  Both give the same floats."""
     idx = np.asarray(targets, dtype=np.intp)
     if idx.size == 0 or idx.min() < 0 or idx.max() >= graph.n:
         raise ValueError("targets must be a nonempty set of vertices")
+    if metric is not None:
+        return metric.dist[idx].min(axis=0)
     return _csgraph.dijkstra(_length_matrix(graph, w, np.arange(graph.n)),
                              directed=False, indices=idx, min_only=True)
 
 
-def rounding_map_ball(graph: Graph, omega, x0: int, radius: float) -> np.ndarray:
+def rounding_map_ball(graph: Graph, omega, x0: int, radius: float, *,
+                      metric: MetricView | None = None) -> np.ndarray:
     """f = distance to the closed ball around x0; 1-Lipschitz by
     construction and checked.  When the ball holds at least half the
     vertices and the radius is a quarter of the spread, the observed
     spread of f is at least spread/4; asserted whenever detected.
+
+    ``metric``, if given, must be the all-pairs ``dist_omega(graph,
+    omega)``; f is then the minimum of its ball rows, and a caller that
+    builds many maps on one graph computes the metric once.
     """
     w = check_weights(graph, omega)
-    mv = dist_omega(graph, w)
-    row = mv.row(x0)
-    ball = [int(v) for i, v in enumerate(mv.vertices) if row[i] <= radius]
-    if not ball:
+    _check_metric(graph, metric)
+    mv = dist_omega(graph, w) if metric is None else metric
+    ball = np.flatnonzero(mv.row(x0) <= radius)
+    if not ball.size:
         raise ValueError("ball is empty")
-    f = _distance_to_set(graph, w, ball)
+    f = _distance_to_set(graph, w, ball, mv)
     _edge_lipschitz_check(graph, w, f)
     sp = spread(mv)
-    if len(ball) * 2 >= graph.n and abs(radius - sp / 4.0) <= 1e-12:
+    if ball.size * 2 >= graph.n and abs(radius - sp / 4.0) <= 1e-12:
         sobs = observed_spread(mv, f)
         if sobs < sp / 4.0 - 1e-9:
             raise RuntimeError(
@@ -498,14 +537,19 @@ def rounding_map_ball(graph: Graph, omega, x0: int, radius: float) -> np.ndarray
 
 
 def rounding_map_coloring(graph: Graph, omega, partition: PaddedPartitionSample,
-                          seed: int | None = None, *, colors=None) -> np.ndarray:
+                          seed: int | None = None, *, colors=None,
+                          metric: MetricView | None = None) -> np.ndarray:
     """f = distance to the union of blocks colored 1.
 
     Colors are independent fair bits per block; an all-zero draw has no
     set to measure distance to and is rejected and redrawn.  Explicit
     ``colors`` override the draw (all-zero is then an error).
+    ``metric``, if given, must be the all-pairs ``dist_omega(graph,
+    omega)``; f is then the minimum of its target rows instead of a
+    multi-source search.
     """
     w = check_weights(graph, omega)
+    _check_metric(graph, metric)
     blocks = getattr(partition, "blocks", partition)
     blocks = tuple(tuple(int(v) for v in block) for block in blocks)
     if not blocks:
@@ -527,13 +571,17 @@ def rounding_map_coloring(graph: Graph, omega, partition: PaddedPartitionSample,
         else:  # pragma: no cover - probability 2^-64 per attempt chain
             raise RuntimeError("rejection sampling failed to find a color")
     targets = [v for block, b in zip(blocks, bits) if b for v in block]
-    f = _distance_to_set(graph, w, targets)
+    f = _distance_to_set(graph, w, targets, metric)
     _edge_lipschitz_check(graph, w, f)
     return f
 
 
 # ---------------------------------------------------------------------------
 # sweep cut
+
+# threshold-by-vertex cells per array pass of the sweep
+_SWEEP_CELLS = 1 << 18
+
 
 def sweep_cut(graph: Graph, omega, f):
     """Threshold sweep of a 1-Lipschitz map.
@@ -543,8 +591,10 @@ def sweep_cut(graph: Graph, omega, f):
     S = {|f - theta| <= omega/2}; no edge joins A minus S to B minus S
     (checked).  Both U = A union S and U = B union S are scored by
     boundary-over-size whenever the interior covers at most half the
-    vertices; the best feasible candidate is returned as (U, ratio),
-    or ((), inf) when no threshold separates.
+    vertices; the best feasible candidate, by ascending theta with the
+    A side first, is returned as (U, ratio), or ((), inf) when no
+    threshold separates.  Thresholds are scored in blocks of array
+    passes of at most ``_SWEEP_CELLS`` vertex-threshold cells.
     """
     w = check_weights(graph, omega)
     vals = np.asarray(f, dtype=float)
@@ -553,37 +603,55 @@ def sweep_cut(graph: Graph, omega, f):
     _edge_lipschitz_check(graph, w, vals)
 
     n = graph.n
-    eu, ev, _ = graph._structure()
+    # for a boolean X, (adj @ X)[v, j] says whether v has a neighbour in
+    # column j's vertex set
+    adj = graph._structure()[2]
+    adj = csr_matrix((np.ones(adj.nnz, dtype=bool), adj.indices, adj.indptr),
+                     shape=adj.shape)
     thresholds = np.unique(np.concatenate([vals - w / 2.0, vals + w / 2.0]))
-    best_u: tuple = ()
+    # widened by the Lipschitz tolerance so float-tight maps cannot leak an
+    # edge past the slab
+    reach = w / 2.0 + LIPSCHITZ_TOL
+
+    def sides(theta):
+        # vertex-by-threshold masks: A, and the slab around each threshold
+        return (vals[:, None] <= theta[None, :],
+                np.abs(vals[:, None] - theta[None, :]) <= reach[:, None])
+
+    best_k = -1
     best_ratio = math.inf
-    for theta in thresholds:
-        a = vals <= theta
-        # widened by the Lipschitz tolerance so float-tight maps cannot
-        # leak an edge past the slab
-        slab = np.abs(vals - theta) <= w / 2.0 + LIPSCHITZ_TOL
+    step = max(1, _SWEEP_CELLS // max(n, 1))
+    for lo in range(0, thresholds.size, step):
+        theta = thresholds[lo:lo + step]
+        a, slab = sides(theta)
         a_clean = a & ~slab
         b_clean = ~a & ~slab
-        if eu.size and np.any((a_clean[eu] & b_clean[ev]) |
-                              (a_clean[ev] & b_clean[eu])):
+        t = theta.size
+        # A u S loses its boundary to B minus S, B u S to A minus S
+        hits = adj @ np.concatenate([b_clean, a_clean], axis=1)
+        leak = np.any(a_clean & hits[:, :t], axis=0)
+        if np.any(leak):
             raise RuntimeError(
-                f"threshold {theta}: an edge crosses the slab"
+                f"threshold {theta[int(np.argmax(leak))]}: an edge crosses "
+                f"the slab"
             )
-        for side in (a | slab, ~a | slab):
-            size = int(side.sum())
-            if size == 0:
-                continue
-            cross = np.concatenate([eu[side[eu] & ~side[ev]],
-                                    ev[side[ev] & ~side[eu]]])
-            n_boundary = int(np.unique(cross).size)
-            interior = size - n_boundary
-            if interior * 2 > n:
-                continue
-            ratio = n_boundary / size
+        side = np.concatenate([a | slab, ~a | slab], axis=1)
+        size = side.sum(axis=0)
+        n_boundary = (side & hits).sum(axis=0)
+        # candidate order: threshold ascending, the A side before the B side
+        size = size.reshape(2, t).T.ravel()
+        n_boundary = n_boundary.reshape(2, t).T.ravel()
+        feasible = np.flatnonzero((size > 0) & (2 * (size - n_boundary) <= n))
+        ratios = n_boundary[feasible] / size[feasible]
+        for k, ratio in zip(feasible.tolist(), ratios.tolist()):
             if ratio < best_ratio - 1e-15:
                 best_ratio = ratio
-                best_u = tuple(int(v) for v in np.flatnonzero(side))
-    return best_u, best_ratio
+                best_k = 2 * lo + k
+    if best_k < 0:
+        return (), best_ratio
+    a, slab = sides(thresholds[best_k // 2:best_k // 2 + 1])
+    best = (a | slab) if best_k % 2 == 0 else (~a | slab)
+    return tuple(int(v) for v in np.flatnonzero(best[:, 0])), best_ratio
 
 
 def vertex_expansion_witnesses(graph: Graph, u_set):
@@ -685,7 +753,7 @@ def _cut_lp_round(graph: Graph, comp, seed):
         centers = sorted(rng.choice(local.n, size=16, replace=False))
     best = None
     for c in centers:
-        f = rounding_map_ball(local, w, int(c), sp / 4.0)
+        f = rounding_map_ball(local, w, int(c), sp / 4.0, metric=mv)
         u_set, ratio = sweep_cut(local, w, f)
         if u_set and (best is None or ratio < best[0]):
             best = (ratio, u_set)
@@ -749,7 +817,7 @@ def _cut_chop(graph: Graph, comp, seed, *, omega=None, h=2, rounds=4,
         if len(padded.blocks) == 1:
             continue
         f = rounding_map_coloring(local, w, padded,
-                                  int(rng.integers(1 << 62)))
+                                  int(rng.integers(1 << 62)), metric=mv)
         u_set, _ratio = sweep_cut(local, w, f)
         if u_set:
             inside = set(u_set)

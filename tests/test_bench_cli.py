@@ -71,6 +71,47 @@ class TestGenerators:
         assert back.polylines is None and back.graph == grid.graph
 
 
+# Separators of fixed seeds.  The rounding maps, chopping trees and sweep
+# may share distance work between calls, but must not move any of these.
+# separate(generate("gnp", n, seed), "lp-round", seed=seed) for seeds 0..9
+FROZEN_LP_ROUND = {
+    12: [
+        (4, 5), (3, 4, 9), (0, 6, 7, 10), (0, 10), (0, 5, 7), (4, 7, 8),
+        (4, 11), (3, 11), (2, 5, 6, 7), (0, 6, 8),
+    ],
+    13: [
+        (2, 4, 9), (6, 12), (0, 5, 9, 12), (10, 12), (6, 12), (2, 5, 11, 12),
+        (4, 12), (6, 7, 9, 11, 12), (0, 6, 12), (0, 7, 11, 12),
+    ],
+    14: [
+        (2, 13), (5, 10), (3, 6, 10), (0, 6, 11), (0, 5, 12, 13), (3, 8),
+        (9, 10, 11), (4, 6, 11), (1, 4, 8, 11, 12), (0, 4, 8, 13),
+    ],
+    15: [
+        (0, 2, 9, 12), (6, 8, 10), (2, 4), (1, 4, 6), (0, 4, 5, 10, 11),
+        (1, 6, 10, 13), (2, 3, 5), (1, 9, 12, 14), (1, 4, 7, 11, 12), (7, 11),
+    ],
+    16: [
+        (2, 3, 4, 7, 8), (3, 7, 9, 12), (0, 1, 3, 4, 6, 8), (1, 11, 12),
+        (3, 4, 9, 10, 13), (4, 5, 15), (11, 12, 13), (5, 6, 7, 9),
+        (2, 4, 8, 12, 15), (4, 6, 7, 9, 10),
+    ],
+}
+# separate(generate(kind, size, seed), "chop", seed=seed) for seeds 0..2
+FROZEN_CHOP = {
+    ("grid", 10): [
+        (22, 34, 46, 58, 70, 76, 82, 86, 94, 96, 106),
+        (4, 14, 24, 34, 46, 58, 70, 82, 94, 106, 118),
+        (6, 16, 26, 36, 46, 56, 68, 80, 92, 104, 116),
+    ],
+    ("random-segments", 40): [
+        (0, 3, 8, 9, 14, 16, 19, 28, 30, 32, 37),
+        (3, 5, 6, 13, 17, 23, 32, 38),
+        (1, 3, 6, 15, 16, 25, 26, 35, 36),
+    ],
+}
+
+
 class TestSeparate:
     def test_path_midpoint_record(self):
         inst = Instance("path", 100, 0, path_graph(100))
@@ -105,6 +146,20 @@ class TestSeparate:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             separate(generate("grid", 2), method="fiat")
+
+    def test_frozen_lp_round_separators(self):
+        for n, seps in FROZEN_LP_ROUND.items():
+            for seed, want in enumerate(seps):
+                sep, _, _ = separate(generate("gnp", n, seed), "lp-round",
+                                     seed=seed)
+                assert sep == want, (n, seed)
+
+    def test_frozen_chop_separators(self):
+        for (kind, size), seps in FROZEN_CHOP.items():
+            for seed, want in enumerate(seps):
+                sep, _, _ = separate(generate(kind, size, seed), "chop",
+                                     seed=seed)
+                assert sep == want, (kind, size, seed)
 
     def test_components_respect_balance(self):
         inst = generate("gnp", 40, seed=7)

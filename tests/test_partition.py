@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import mc_margin, random_connected_graph
+from rigsep import partition
 from rigsep.graph import (
+    LIPSCHITZ_TOL,
     Graph,
     balls_and_sphere,
     complete_graph,
@@ -320,6 +322,165 @@ class TestRoundingMaps:
         for targets in ([], [3], [-1]):
             with pytest.raises(ValueError):
                 _distance_to_set(g, np.ones(3), targets)
+
+
+def _weighted_catalog(catalog_flat, seed):
+    """The catalog plus a grid and a random graph, each with random weights
+    of which about 30% are zero (zero-length edges)."""
+    graphs = list(catalog_flat) + [grid_graph(5),
+                                   random_connected_graph(30, 4, 20)]
+    for i, g in enumerate(graphs):
+        rng = substream(seed, "weighted-catalog", i)
+        w = rng.random(g.n) * 3.0
+        w[rng.random(g.n) < 0.3] = 0.0
+        yield g, w, rng
+
+
+def _same_trees(t1, t2):
+    assert (t1.delta, t1.depth, t1.ambient) == (t2.delta, t2.depth, t2.ambient)
+    assert len(t1.nodes) == len(t2.nodes)
+    for a, b in zip(t1.nodes, t2.nodes):
+        assert (a.vertices, a.center, a.depth, a.path, a.spacing, a.parent,
+                a.tau, a.children) == (b.vertices, b.center, b.depth, b.path,
+                                       b.spacing, b.parent, b.tau, b.children)
+    assert t1.rows.keys() == t2.rows.keys()
+    for k in t1.rows:
+        assert np.array_equal(t1.rows[k], t2.rows[k])
+
+
+class TestSuppliedMetric:
+    """Maps, trees and samples built from a caller's all-pairs metric are
+    bit-identical to the ones built without it."""
+
+    def test_ball_map(self, catalog_flat):
+        for g, w, rng in _weighted_catalog(catalog_flat, 21):
+            mv = dist_omega(g, w)
+            sp = spread(mv)
+            for x0 in rng.choice(g.n, min(g.n, 3), replace=False):
+                x0 = int(x0)
+                for radius in (sp / 4.0, float(rng.choice(mv.row(x0)))):
+                    want = rounding_map_ball(g, w, x0, radius)
+                    got = rounding_map_ball(g, w, x0, radius, metric=mv)
+                    assert np.array_equal(got, want), (g, x0, radius)
+
+    def test_coloring_map(self, catalog_flat):
+        for g, w, rng in _weighted_catalog(catalog_flat, 22):
+            mv = dist_omega(g, w)
+            labels = rng.integers(0, 3, size=g.n)
+            blocks = [tuple(int(v) for v in np.flatnonzero(labels == b))
+                      for b in range(3)]
+            blocks = [b for b in blocks if b]
+            want = rounding_map_coloring(g, w, blocks, seed=5)
+            got = rounding_map_coloring(g, w, blocks, seed=5, metric=mv)
+            assert np.array_equal(got, want), g
+
+    def test_chopping_tree_and_random_separator(self, catalog_flat):
+        for i, (g, w, rng) in enumerate(_weighted_catalog(catalog_flat, 23)):
+            mv = dist_omega(g, w)
+            diam = float(np.max(mv.matrix()))
+            delta = diam / 2.0 if diam > 0 else 1.0
+            _same_trees(build_chopping_tree(g, w, delta, depth=2, seed=i),
+                        build_chopping_tree(g, w, delta, depth=2, seed=i,
+                                            metric=mv))
+            # small scales put heavy vertices in Q and trees on subsets
+            for scale in (0.1, 0.5, 2.0):
+                d = max(scale * delta, 1e-3)
+                assert random_separator(g, w, d, 2, seed=i) == \
+                    random_separator(g, w, d, 2, seed=i, metric=mv)
+
+    def test_metric_must_cover_the_graph(self):
+        g = grid_graph(3)
+        w = np.ones(g.n)
+        wrong = (dist_omega(g, w, [0]),                  # not all pairs
+                 dist_omega(g, w, subset=range(8)),      # a subgraph's
+                 dist_omega(grid_graph(2), np.ones(9)))  # another graph's
+        pp = padded_partition(g, w, random_separator(g, w, 3.0, 2, seed=1))
+        for mv in wrong:
+            with pytest.raises(ValueError, match="all-pairs"):
+                rounding_map_ball(g, w, 0, 1.0, metric=mv)
+            with pytest.raises(ValueError, match="all-pairs"):
+                rounding_map_coloring(g, w, pp, seed=1, metric=mv)
+            with pytest.raises(ValueError, match="all-pairs"):
+                build_chopping_tree(g, w, 3.0, depth=1, seed=1, metric=mv)
+            with pytest.raises(ValueError, match="all-pairs"):
+                random_separator(g, w, 3.0, 2, seed=1, metric=mv)
+
+
+def _sweep_cut_per_threshold(graph, omega, f):
+    """The sweep as one Python pass per threshold: the reference that
+    ``sweep_cut``'s blocked array passes must reproduce."""
+    w = np.asarray(omega, dtype=float)
+    vals = np.asarray(f, dtype=float)
+    partition._edge_lipschitz_check(graph, w, vals)
+    n = graph.n
+    eu, ev, _ = graph._structure()
+    thresholds = np.unique(np.concatenate([vals - w / 2.0, vals + w / 2.0]))
+    best_u, best_ratio = (), math.inf
+    for theta in thresholds:
+        a = vals <= theta
+        slab = np.abs(vals - theta) <= w / 2.0 + LIPSCHITZ_TOL
+        a_clean = a & ~slab
+        b_clean = ~a & ~slab
+        if eu.size and np.any((a_clean[eu] & b_clean[ev]) |
+                              (a_clean[ev] & b_clean[eu])):
+            raise RuntimeError(f"threshold {theta}: an edge crosses the slab")
+        for side in (a | slab, ~a | slab):
+            size = int(side.sum())
+            if size == 0:
+                continue
+            cross = np.concatenate([eu[side[eu] & ~side[ev]],
+                                    ev[side[ev] & ~side[eu]]])
+            n_boundary = int(np.unique(cross).size)
+            if (size - n_boundary) * 2 > n:
+                continue
+            ratio = n_boundary / size
+            if ratio < best_ratio - 1e-15:
+                best_ratio = ratio
+                best_u = tuple(int(v) for v in np.flatnonzero(side))
+    return best_u, best_ratio
+
+
+class TestSweepMatchesPerThresholdLoop:
+    def _maps(self, catalog_flat):
+        """Random 1-Lipschitz maps (McShane extensions of random values,
+        nearest-target distances) and tie-heavy integer maps."""
+        for g, w, rng in _weighted_catalog(catalog_flat, 24):
+            mv = dist_omega(g, w)
+            r = rng.random(g.n) * 2.0 * max(float(np.max(mv.dist)), 1.0)
+            yield g, w, np.min(r[:, None] + mv.dist, axis=0)
+            yield g, w, mv.row(int(rng.integers(g.n)))
+            unit = np.ones(g.n)
+            hops = dist_omega(g, unit).dist
+            yield g, unit, np.floor(np.min(r[:, None] + hops, axis=0))
+            yield g, unit, np.min(hops[rng.random(g.n) < 0.3], axis=0,
+                                  initial=0.0)
+
+    def test_same_cut(self, catalog_flat):
+        for g, w, f in self._maps(catalog_flat):
+            assert sweep_cut(g, w, f) == _sweep_cut_per_threshold(g, w, f)
+
+    def test_same_cut_in_small_blocks(self, catalog_flat, monkeypatch):
+        monkeypatch.setattr(partition, "_SWEEP_CELLS", 7)
+        for g, w, f in self._maps(catalog_flat):
+            assert sweep_cut(g, w, f) == _sweep_cut_per_threshold(g, w, f)
+
+    @pytest.mark.parametrize("cells", [1 << 18, 5])
+    def test_same_leak_error(self, monkeypatch, cells):
+        # the edge check rejects every leaking map first; without it the
+        # slab check must fail at the same threshold with the same text
+        monkeypatch.setattr(partition, "_edge_lipschitz_check",
+                            lambda *args: None)
+        monkeypatch.setattr(partition, "_SWEEP_CELLS", cells)
+        g = path_graph(7)
+        w = np.ones(7)
+        # vertex 6 puts thresholds inside the jump across edge (2, 3)
+        f = [0.0, 1.0, 2.0, 6.0, 7.0, 8.0, 4.0]
+        with pytest.raises(RuntimeError) as want:
+            _sweep_cut_per_threshold(g, w, f)
+        with pytest.raises(RuntimeError) as got:
+            sweep_cut(g, w, f)
+        assert str(got.value) == str(want.value)
+        assert str(got.value) == "threshold 3.5: an edge crosses the slab"
 
 
 class TestSweepCut:

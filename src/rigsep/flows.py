@@ -19,8 +19,11 @@ congestions c (see ``cspread_lp``).  The extremal weights come from the
 optimal routing, and their realized spread must meet its bound.  The
 corrected side of the p = 2 duality is the weak-duality bound at the
 primal's own normalized congestion, so its gap certifies the routing.
-The p = 2 programs refuse graphs above 93 vertices and the p = 1
-spread LP graphs above 54, rather than start solves of many minutes.
+At p = inf one column generation gives both sides of the duality:
+the last master's vertex prices, normalized to mean one, are an
+extremal cspread_1 weight.  The p = 2 programs refuse graphs above 93
+vertices, and the p = 1 spread LP and the p = inf duality check graphs
+above 54, rather than start solves of many minutes.
 """
 from __future__ import annotations
 
@@ -64,9 +67,12 @@ __all__ = [
 ]
 
 _PRICE_TOL = 1e-9
-# largest n the p = 1 spread LP accepts (n + n^2 variables, 2mn + 1
-# rows; lp-round cuts spectrally above it): the slowest solves found on
-# a 2-vCPU host took 9 s at 54 vertices and 10-17 s at 55-60
+# largest n the p = 1 spread LP (n + n^2 variables, 2mn + 1 rows;
+# lp-round cuts spectrally above it) and check_duality at p = inf accept.
+# On a 2-vCPU host with one BLAS thread the LP's slowest solves took 9 s
+# at 54 vertices and 10-17 s at 55-60.  check_duality(., inf) runs only
+# the p = inf column generation, which sets its cap: 1.5-3.5 s at 54
+# vertices, and vcong_lp(., inf) took 7-9 s on the 64-vertex grid
 _P1_MAX_N = 54
 # largest n the p = 2 solvers accept: with one BLAS thread on a 2-vCPU
 # host, certified check_duality(g, 2) took at most 3.5 s on G(93, p) and
@@ -581,8 +587,8 @@ def _least_squares_master(shift: float):
 
 def _column_generation(graph: Graph, master, max_rounds: int,
                        floor: float) -> tuple:
-    """(flow, diagnostics, last objective) of an all-pairs routing by
-    column generation from the seed pool.  Each round
+    """(flow, diagnostics, last objective, last prices) of an all-pairs
+    routing by column generation from the seed pool.  Each round
     ``master(cols, cov, inc)`` returns column weights, vertex prices,
     per-demand thresholds, its objective and its diagnostics; pricing
     adds every pair's cheapest path under its threshold, until none or
@@ -600,15 +606,24 @@ def _column_generation(graph: Graph, master, max_rounds: int,
             diag.update(columns=len(cols), **report)
             flow = HFlow(graph, complete_graph(n), tuple(range(n)),
                          _repair_bundles(demands, pool, cols, x, floor))
-            return flow, diag, objective
+            return flow, diag, objective, z
 
 
 def _min_norm_routing(graph: Graph, shift: float) -> tuple:
     """Flow and diagnostics of the all-pairs routing whose congestion c
     minimizes |c - shift|_2: vcong_2 at shift 0, cspread_2 at (n-1)/2."""
-    flow, diag, _ = _column_generation(graph, _least_squares_master(shift),
-                                       max_rounds=60, floor=1e-9)
+    flow, diag, _, _ = _column_generation(
+        graph, _least_squares_master(shift), max_rounds=60, floor=1e-9)
     return flow, diag
+
+
+def _vcong_inf(graph: Graph) -> tuple:
+    """The p = inf branch of ``vcong_lp`` on a connected graph of two or
+    more vertices, with the vertex prices of the last min-t master."""
+    flow, diag, value, z = _column_generation(
+        graph, _min_congestion_master, max_rounds=200, floor=1e-12)
+    return CongestionResult(value=value, flow=flow, p=math.inf,
+                            diagnostics=diag), z
 
 
 def vcong_lp(graph: Graph, p: float) -> CongestionResult:
@@ -634,15 +649,12 @@ def vcong_lp(graph: Graph, p: float) -> CongestionResult:
     if p == 1:
         return _vcong_exact_l1(graph)
     if p == math.inf:
-        flow, diag, value = _column_generation(
-            graph, _min_congestion_master, max_rounds=200, floor=1e-12)
-    elif p == 2:
-        flow, diag = _min_norm_routing(graph, 0.0)
-        value = float(np.linalg.norm(congestion_map(flow.aggregate())))
-    else:
+        return _vcong_inf(graph)[0]
+    if p != 2:
         raise ValueError("vcong_lp supports p in {1, 2, inf}")
-    return CongestionResult(value=value, flow=flow, p=float(p),
-                            diagnostics=diag)
+    flow, diag = _min_norm_routing(graph, 0.0)
+    value = float(np.linalg.norm(congestion_map(flow.aggregate())))
+    return CongestionResult(value=value, flow=flow, p=2.0, diagnostics=diag)
 
 
 # ---------------------------------------------------------------------------
@@ -687,21 +699,48 @@ def _l2_dual_bound(graph: Graph, congestion: np.ndarray) -> float:
     return 0.5 * total + 0.5 * (graph.n - 1) * float(z.sum())
 
 
+def _cspread1_from_prices(graph: Graph, congestion: float,
+                          z: np.ndarray) -> float:
+    """cspread_1 from the vertex prices z of the last p = inf master.
+    Once pricing stops, no pair has a path cheaper than its demand dual,
+    so the mean-one weight omega = n z / sum(z) is extremal.  Its
+    realized spread is a lower bound on cspread_1 and the routing's
+    (2C - n + 1) / n an upper bound, C its congestion; RuntimeError when
+    the prices sum to zero or the lower bound passes the upper beyond
+    1e-9 relative, which weak duality forbids."""
+    n = graph.n
+    total = float(z.sum())
+    if not total > 0.0:
+        raise RuntimeError(f"p=inf master prices sum to {total:.3g}")
+    realized = spread(dist_omega(graph, n * z / total))
+    upper = (2.0 * congestion - n + 1) / n
+    if realized > upper + 1e-9 * max(1.0, abs(upper)):
+        raise RuntimeError(
+            f"realized spread {realized:.9g} exceeds the routing bound "
+            f"{upper:.9g}"
+        )
+    return float(realized)
+
+
 def check_duality(graph: Graph, p: float,
                   q: float | None = None) -> DualityReport:
     """Evaluate both sides of the congestion / extremal-spread duality.
 
     q defaults to the conjugate exponent of p and must equal it when
     given.  For p = inf the corrected identity is
-    vcong = (n * cspread_1 + (n - 1)) / 2, exact by LP duality (graphs
-    above 54 vertices raise ValueError, as in ``cspread_lp``); p = 1
-    uses the same correction at q = inf, where the extremal weight is
-    uniform and everything is in closed form.  For p = 2 the corrected
-    value is the dual objective at z = c / |c|_2, where c is the
-    congestion of the routing ``vcong_lp(graph, 2)`` returns: a lower
-    bound on vcong_2 by weak duality, tight exactly when that routing is
-    optimal, so a suboptimal routing shows up as a gap (and graphs above
-    93 vertices raise ValueError, as in ``vcong_lp``).
+    vcong = (n * cspread_1 + (n - 1)) / 2, exact by LP duality, and one
+    column generation gives both sides: vcong is its min-t routing and
+    cspread_1 the realized spread of the last master's vertex prices,
+    normalized to mean one and checked against the routing's bound
+    (graphs above 54 vertices raise ValueError, which keeps that column
+    generation to seconds).  p = 1 uses the same correction at q = inf,
+    where the extremal weight is uniform and everything is in closed
+    form.  For p = 2 the corrected value is the dual objective at
+    z = c / |c|_2, where c is the congestion of the routing
+    ``vcong_lp(graph, 2)`` returns: a lower bound on vcong_2 by weak
+    duality, tight exactly when that routing is optimal, so a suboptimal
+    routing shows up as a gap (and graphs above 93 vertices raise
+    ValueError, as in ``vcong_lp``).
     ``ok`` compares vcong against the corrected value.
     """
     _require_connected(graph, "check_duality")
@@ -713,10 +752,13 @@ def check_duality(graph: Graph, p: float,
     n = graph.n
     if p == math.inf:
         q = 1.0
-        # the p = 1 spread LP is the side that cannot scale: refuse first
+        # the column generation's time sets the cap: refuse before it
         _require_small(graph, _P1_MAX_N, "check_duality at p=inf")
-        vres = vcong_lp(graph, math.inf)
-        cs = cspread_lp(graph, 1).value
+        if n == 1:
+            vres, cs = vcong_lp(graph, math.inf), 0.0
+        else:
+            vres, z = _vcong_inf(graph)
+            cs = _cspread1_from_prices(graph, vres.value, z)
         literal = n ** (2.0 - 1.0 / q) * cs
         corrected = (n * cs + (n - 1)) / 2.0
         tol = 1e-4

@@ -752,8 +752,15 @@ def _cut_lp_round(graph: Graph, comp, seed):
         rng = substream(seed, "lp-centers", comp[0])
         centers = sorted(rng.choice(local.n, size=16, replace=False))
     best = None
+    swept = set()
     for c in centers:
         f = rounding_map_ball(local, w, int(c), sp / 4.0, metric=mv)
+        # a map equal to an earlier one sweeps to the same (U, ratio),
+        # which the strict comparison would not keep
+        key = f.tobytes()
+        if key in swept:
+            continue
+        swept.add(key)
         u_set, ratio = sweep_cut(local, w, f)
         if u_set and (best is None or ratio < best[0]):
             best = (ratio, u_set)

@@ -1,10 +1,14 @@
+import hashlib
 import json
 import math
+import shlex
 import time
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from rigsep import bench
+from rigsep import bench, partition
 from rigsep.bench import (
     ExperimentRecord,
     fmt_exponent,
@@ -169,6 +173,64 @@ class TestSeparate:
             assert 3 * len(c) <= 2 * inst.graph.n
             covered |= set(c)
         assert covered == set(range(inst.graph.n))
+
+
+def _sub_seed(seed: int, *path) -> int:
+    # the benchmark's seed of the instance named by path
+    h = hashlib.blake2b(repr((int(seed),) + path).encode(), digest_size=4)
+    return int.from_bytes(h.digest(), "big")
+
+
+class TestLpRoundRepeatedMaps:
+    def test_same_cut_as_sweeping_every_map(self, monkeypatch):
+        # the 40 lp-round separations of the benchmark's duality workload
+        # at seed 1: each cut sweeps only maps unlike its earlier ones,
+        # and keeps the cut the loop sweeping every map would keep
+        cuts = []
+        ball_map, sweep = partition.rounding_map_ball, partition.sweep_cut
+
+        def record_map(graph, omega, *args, **kwargs):
+            f = ball_map(graph, omega, *args, **kwargs)
+            if not cuts or cuts[-1]["graph"] is not graph:
+                cuts.append({"graph": graph, "omega": omega, "maps": [],
+                             "swept": []})
+            cuts[-1]["maps"].append(f)
+            return f
+
+        def record_sweep(graph, omega, f):
+            out = sweep(graph, omega, f)
+            cuts[-1]["swept"].append((f, out))
+            return out
+
+        monkeypatch.setattr(partition, "rounding_map_ball", record_map)
+        monkeypatch.setattr(partition, "sweep_cut", record_sweep)
+        for i in range(40):
+            inst = generate("gnp", 12 + i % 5, _sub_seed(1, "lp", i))
+            separate(inst, "lp-round", seed=_sub_seed(1, "lpsep", i))
+        monkeypatch.undo()
+
+        def first_best(results):
+            best = None
+            for u_set, ratio in results:
+                if u_set and (best is None or ratio < best[0]):
+                    best = (ratio, u_set)
+            return best
+
+        total = repeats = 0
+        for cut in cuts:
+            distinct = []
+            for f in cut["maps"]:
+                if not any(np.array_equal(f, g) for g in distinct):
+                    distinct.append(f)
+            swept = [f for f, _ in cut["swept"]]
+            assert len(swept) == len(distinct)
+            assert all(np.array_equal(f, g) for f, g in zip(swept, distinct))
+            every = [sweep(cut["graph"], cut["omega"], f) for f in cut["maps"]]
+            assert first_best([out for _, out in cut["swept"]]) == \
+                first_best(every)
+            total += len(cut["maps"])
+            repeats += len(cut["maps"]) - len(distinct)
+        assert repeats > 0 and total > repeats
 
 
 class TestScalingStudy:
@@ -339,6 +401,17 @@ class TestCLI:
         assert main(["lp", "p.json"]) == 2
         assert time.perf_counter() - t0 < 5.0
         assert capsys.readouterr().err.startswith("rigsep:")
+
+    def test_readme_examples(self, workdir, capsys):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1]
+        block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = [line for line in block.splitlines()
+                 if line.startswith("rigsep ")]
+        assert len(lines) >= 7
+        for line in lines:
+            assert main(shlex.split(line)[1:]) == 0, line
+        capsys.readouterr()
 
     def test_failures_exit_two(self, workdir, capsys):
         assert main(["sep", "missing.json"]) == 2

@@ -21,6 +21,7 @@ from rigsep.graph import (
     spread,
 )
 from rigsep import flows
+from rigsep._rng import substream
 from rigsep.flows import (
     _l2_dual_bound,
     CrossingReport,
@@ -524,6 +525,57 @@ class TestDuality:
         c = congestion_map(vcong_lp(g, 1).flow.aggregate())
         norm = float(np.linalg.norm(c))
         assert _l2_dual_bound(g, c) < 0.95 * norm
+
+    def test_inf_one_solve_matches_exact_lp(self, catalog_flat):
+        # the catalog, the 50 graphs of acceptance criterion 1 and G(n, p)
+        graphs = list(catalog_flat)
+        for i in range(50):
+            n = int(substream(2026, "dual", i).integers(7, 13))
+            graphs.append(random_connected_graph(n, i, extra_edges=i % 9))
+        graphs += [generate("gnp", 20, 0).graph, generate("gnp", 30, 0).graph]
+        for g in graphs:
+            rep = check_duality(g, math.inf)
+            assert rep.vcong == vcong_lp(g, math.inf).value, g
+            exact = cspread_lp(g, 1).value
+            assert abs(rep.cspread - exact) <= 1e-9 * exact, g
+            assert rep.corrected_rel_gap <= 1e-9, g
+
+    def test_inf_never_solves_the_spread_lp(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the p = 1 spread LP was solved")
+
+        monkeypatch.setattr(flows, "_cspread_lp_exact", refuse)
+        monkeypatch.setattr(flows, "cspread_lp", refuse)
+        for g in (Graph(1, []), path_graph(3), cycle_graph(10),
+                  grid_graph(3), generate("gnp", 20, 0).graph):
+            assert check_duality(g, math.inf).ok, g
+
+    def test_inf_guards(self, monkeypatch):
+        g = grid_graph(3)
+        solve = flows._column_generation
+
+        def corrupt(scale=1.0, prices=lambda z: z):
+            def run(*args, **kwargs):
+                flow, diag, value, z = solve(*args, **kwargs)
+                return flow, diag, scale * value, prices(z.copy())
+            monkeypatch.setattr(flows, "_column_generation", run)
+
+        # no mean-one weight spreads beyond the routing's bound, so a
+        # congestion below the true one breaks weak duality
+        corrupt(scale=0.99)
+        with pytest.raises(RuntimeError, match="exceeds the routing bound"):
+            check_duality(g, math.inf)
+        corrupt(prices=lambda z: 0.0 * z)
+        with pytest.raises(RuntimeError, match="prices sum to"):
+            check_duality(g, math.inf)
+
+        # prices off the optimum spread less: a gap, not an error
+        def bump(z):
+            z[np.argmax(z)] *= 10.0
+            return z
+
+        corrupt(prices=bump)
+        assert not check_duality(g, math.inf).ok
 
     def test_literal_form_gap_frozen(self):
         rep = check_duality(path_graph(3), math.inf)

@@ -176,6 +176,8 @@ def scaling_study(kind: str = "random-segments", sizes=(), trials: int = 5,
         raise ValueError("need at least one size")
     if sizes != sorted(sizes):
         raise ValueError("sizes must be ascending")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     jobs = [
         (kind, size, trial, seed, method, h)
         for size in sizes

@@ -108,7 +108,7 @@ def _cmd_duality(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     instance = _load_instance(args.instance)
-    k = args.k or min(instance.graph.n, 6)
+    k = min(instance.graph.n, 6) if args.k is None else args.k
     spec = laplacian_spectrum(instance.graph, k)
     payload = {"eigenvalues": [float(x) for x in spec.eigenvalues]}
     _emit(payload, args.out)

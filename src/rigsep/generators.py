@@ -93,18 +93,12 @@ def _random_segments(n: int, seed: int):
     for attempt in range(64):
         rng = substream(seed, "segments", attempt)
         coords = rng.integers(0, SNAP + 1, size=(n, 4))
-        strings = []
-        ok = True
-        for x1, y1, x2, y2 in coords:
-            a = (Fraction(int(x1), SNAP), Fraction(int(y1), SNAP))
-            b = (Fraction(int(x2), SNAP), Fraction(int(y2), SNAP))
-            if a == b:
-                ok = False
-                break
-            strings.append((a, b))
-        if not ok:
-            continue
-        arr = PolylineArrangement(tuple(strings))
+        if np.any(np.all(coords[:, :2] == coords[:, 2:], axis=1)):
+            continue  # a segment whose endpoints coincide
+        arr = PolylineArrangement(tuple(
+            ((Fraction(x1, SNAP), Fraction(y1, SNAP)),
+             (Fraction(x2, SNAP), Fraction(y2, SNAP)))
+            for x1, y1, x2, y2 in coords.tolist()))
         try:
             built = string_graph_from_polylines(arr)
         except ValueError:
@@ -129,26 +123,18 @@ def _clique_star(n: int) -> PolylineArrangement:
 def _delaunay_graph(n: int, seed: int) -> Graph:
     rng = substream(seed, "delaunay")
     pts = rng.random((n, 2))
-    tri = Delaunay(pts)
-    edges = set()
-    for simplex in tri.simplices:
-        for i in range(3):
-            a, b = int(simplex[i]), int(simplex[(i + 1) % 3])
-            edges.add((min(a, b), max(a, b)))
-    return Graph(n, sorted(edges))
+    s = Delaunay(pts).simplices.astype(np.intp)
+    a, b = s.ravel(), np.roll(s, -1, axis=1).ravel()  # the triangles' sides
+    key = np.unique(np.minimum(a, b) * n + np.maximum(a, b))
+    return Graph(n, np.column_stack(np.divmod(key, n)))
 
 
 def _gnp_connected(n: int, seed: int) -> Graph:
     p = min(1.0, (math.log(n) + 1.0) / n)
+    pairs = np.column_stack(np.triu_indices(n, 1))  # (i, j), i < j, row-major
     for attempt in range(256):
         rng = substream(seed, "gnp", attempt)
-        edges = [
-            (i, j)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if rng.random() < p
-        ]
-        g = Graph(n, edges)
+        g = Graph(n, pairs[rng.random(len(pairs)) < p])
         if len(connected_components(g)) == 1:
             return g
     raise RuntimeError("could not draw a connected G(n, p)")

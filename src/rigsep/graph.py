@@ -34,7 +34,7 @@ class Graph:
     ----------
     n : int
         Number of vertices.
-    edges : iterable of (int, int)
+    edges : iterable of (int, int), or an (m, 2) integer array
         Edge list.  Loops and duplicate edges are rejected.
     """
 
@@ -44,26 +44,38 @@ class Graph:
         if not isinstance(n, (int, np.integer)) or n < 0:
             raise ValueError(f"vertex count must be a nonnegative int, got {n!r}")
         n = int(n)
-        seen = set()
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for e in edges:
-            u, v = int(e[0]), int(e[1])
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
+        pairs = _edge_pairs(edges)
+        a, b = pairs[:, 0], pairs[:, 1]
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        fault = (lo < 0) | (hi >= n) | (a == b)
+        bad = int(np.argmax(fault)) if fault.any() else len(pairs)
+        # the valid rows before the first fault, ordered by packed key; a
+        # stable sort puts each repeat after the row it repeats
+        key = lo[:bad] * n + hi[:bad]
+        order = np.argsort(key, kind="stable")
+        repeat = order[1:][np.diff(key[order]) == 0]
+        if repeat.size:
+            r = int(repeat.min())
+            raise ValueError(f"duplicate edge ({int(lo[r])}, {int(hi[r])})")
+        if bad < len(pairs):
+            u, v = int(a[bad]), int(b[bad])
+            if u == v and 0 <= u < n:
                 raise ValueError(f"loop at vertex {u} not allowed")
-            if u > v:
-                u, v = v, u
-            if (u, v) in seen:
-                raise ValueError(f"duplicate edge ({u}, {v})")
-            seen.add((u, v))
-            adj[u].append(v)
-            adj[v].append(u)
+            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        eu, ev = lo[order], hi[order]
+        eu.flags.writeable = ev.flags.writeable = False
+        # row v of the symmetric matrix lists its smaller neighbours (the
+        # edges ending at v, ascending) before its larger ones, so a
+        # stable sort by row puts every entry in row-major order
+        rows, cols = np.concatenate([ev, eu]), np.concatenate([eu, ev])
+        by_row = np.argsort(rows, kind="stable")
+        adj = _csr(n, rows[by_row], cols[by_row], np.ones(rows.size))
+        ptr, nbrs = adj.indptr.tolist(), adj.indices.tolist()
         self._n = n
-        self._edges = tuple(sorted(seen))
-        self._adj = tuple(tuple(sorted(nb)) for nb in adj)
+        self._edges = tuple(zip(eu.tolist(), ev.tolist()))
+        self._adj = tuple(tuple(nbrs[i:j]) for i, j in zip(ptr, ptr[1:]))
         self._adj_masks = None
-        self._arrays = None
+        self._arrays = (eu, ev, adj)
 
     @property
     def n(self) -> int:
@@ -94,32 +106,15 @@ class Graph:
     def adjacency_masks(self) -> tuple[int, ...]:
         """Neighborhoods as bitmasks; used by the exhaustive oracles."""
         if self._adj_masks is None:
-            masks = []
-            for v in range(self._n):
-                m = 0
-                for w in self._adj[v]:
-                    m |= 1 << w
-                masks.append(m)
-            self._adj_masks = tuple(masks)
+            self._adj_masks = tuple(sum(1 << w for w in nb) for nb in self._adj)
         return self._adj_masks
 
     def _structure(self):
-        """``(eu, ev, adj)``, built once on first use: the endpoint arrays
-        of the sorted edge list (``eu < ev``) and the symmetric 0/1
-        adjacency CSR.  Subgraph primitives slice the endpoint arrays by
-        position mask; whole-graph components and the Laplacian read
-        ``adj``.
+        """``(eu, ev, adj)``: the endpoint arrays of the sorted edge list
+        (``eu < ev``) and the symmetric 0/1 adjacency CSR.  Subgraph
+        primitives slice the endpoint arrays by position mask; whole-graph
+        components and the Laplacian read ``adj``.
         """
-        if self._arrays is None:
-            ends = np.asarray(self._edges, dtype=np.intp).reshape(-1, 2)
-            eu, ev = ends[:, 0].copy(), ends[:, 1].copy()
-            eu.flags.writeable = ev.flags.writeable = False
-            adj = csr_matrix(
-                (np.ones(2 * eu.size), (np.concatenate([eu, ev]),
-                                        np.concatenate([ev, eu]))),
-                shape=(self._n, self._n),
-            )
-            self._arrays = (eu, ev, adj)
         return self._arrays
 
     def __eq__(self, other) -> bool:
@@ -134,6 +129,35 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self._n}, m={self.m})"
+
+
+def _edge_pairs(edges) -> np.ndarray:
+    """The edges as an (m, 2) index array, one row per input edge.  A row
+    that is not a pair of vertex ids raises ``ValueError`` naming it."""
+    if not isinstance(edges, (np.ndarray, list, tuple)):
+        edges = list(edges)
+    try:
+        pairs = np.asarray(edges, dtype=np.intp)
+    except (TypeError, ValueError, OverflowError) as exc:
+        pairs, error = None, exc
+    if pairs is not None and pairs.ndim == 2 and pairs.shape[1] == 2:
+        return pairs
+    if len(edges) == 0:
+        return np.empty((0, 2), dtype=np.intp)
+    for i, e in enumerate(edges):
+        if np.ndim(e) != 1 or len(e) != 2:
+            raise ValueError(f"edge {i} is {e!r}, not a pair of vertices")
+    raise ValueError(f"edges must be pairs of integer vertex ids: {error}")
+
+
+def _csr(k: int, rows, cols, data) -> csr_matrix:
+    """k x k CSR matrix of entries given in row-major order (rows
+    ascending, columns ascending within a row).  Every entry is stored,
+    explicit zeros included: csgraph reads a stored zero as an edge of
+    length zero.  The index arrays are handed over as the int32 scipy
+    would pick, which spares its per-call scan of their contents."""
+    indptr = np.searchsorted(rows, np.arange(k + 1)).astype(np.int32)
+    return csr_matrix((data, cols.astype(np.int32), indptr), shape=(k, k))
 
 
 def path_graph(n: int) -> Graph:
@@ -160,19 +184,13 @@ def grid_graph(side: int, d: int = 2) -> Graph:
         raise ValueError("side and d must be positive")
     k = side + 1
     n = k**d
-    edges = []
-    for idx in range(n):
-        coords = []
-        r = idx
-        for _ in range(d):
-            coords.append(r % k)
-            r //= k
-        stride = 1
-        for axis in range(d):
-            if coords[axis] + 1 < k:
-                edges.append((idx, idx + stride))
-            stride *= k
-    return Graph(n, edges)
+    idx = np.arange(n)
+    steps = []
+    for axis in range(d):
+        stride = k**axis
+        low = idx[idx // stride % k < side]  # not on the axis's top face
+        steps.append(np.column_stack([low, low + stride]))
+    return Graph(n, np.concatenate(steps))
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +287,8 @@ def _induced_edges(graph: Graph, vs: np.ndarray):
 def induced_subgraph(graph: Graph, vertices: Iterable[int]) -> SubgraphView:
     vs = _vertex_array(graph, vertices)
     lu, lv = _induced_edges(graph, vs)
-    sub = Graph(vs.size, zip(lu.tolist(), lv.tolist()))
-    return SubgraphView(sub, tuple(vs.tolist()))
+    return SubgraphView(Graph(vs.size, np.column_stack([lu, lv])),
+                        tuple(vs.tolist()))
 
 
 def connected_components(
@@ -288,13 +306,12 @@ def connected_components(
         mat = graph._structure()[2]
     else:
         lu, lv = _induced_edges(graph, vs)
-        mat = csr_matrix((np.ones(lu.size, dtype=np.int8), (lu, lv)),
-                         shape=(vs.size, vs.size))
-    _, labels = _csgraph.connected_components(mat, directed=False)
-    comps: dict[int, list[int]] = {}
-    for v, lab in zip(vs.tolist(), labels.tolist()):
-        comps.setdefault(lab, []).append(v)
-    out = [tuple(c) for c in comps.values()]
+        mat = _csr(vs.size, lu, lv, np.ones(lu.size))
+    ncomp, labels = _csgraph.connected_components(mat, directed=False)
+    # vertices grouped by label, ascending within each group
+    flat = vs[np.argsort(labels, kind="stable")].tolist()
+    ends = np.cumsum(np.bincount(labels, minlength=ncomp)).tolist()
+    out = [tuple(flat[i:j]) for i, j in zip([0] + ends, ends)]
     out.sort(key=lambda c: c[0])
     return out
 
@@ -345,7 +362,7 @@ def _length_matrix(graph: Graph, w: np.ndarray, vs: np.ndarray):
     lu, lv = _induced_edges(graph, vs)
     wl = w[vs]
     length = 0.5 * (wl[lu] + wl[lv])
-    return csr_matrix((length, (lu, lv)), shape=(vs.size, vs.size))
+    return _csr(vs.size, lu, lv, length)
 
 
 def dist_omega(
@@ -556,13 +573,10 @@ def subdivision(graph: Graph) -> Graph:
     Original vertices keep their ids; the midpoint of the k-th edge (in the
     graph's sorted edge order) gets id ``n + k``.
     """
-    n = graph.n
-    edges = []
-    for k, (u, v) in enumerate(graph.edges):
-        mid = n + k
-        edges.append((u, mid))
-        edges.append((mid, v))
-    return Graph(n + graph.m, edges)
+    eu, ev, _ = graph._structure()
+    mid = graph.n + np.arange(graph.m)
+    return Graph(graph.n + graph.m, np.column_stack(
+        [np.concatenate([eu, mid]), np.concatenate([mid, ev])]))
 
 
 # ---------------------------------------------------------------------------

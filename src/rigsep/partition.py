@@ -889,11 +889,20 @@ def balanced_separator(graph: Graph, strategy: str = "spectral", mu=None, *,
     strategy (spectral sweep, extremal-weight LP plus ball-map rounding,
     or random chopping plus coloring-map rounding) and accumulates the
     cut vertices.  The balance of the final result is verified before
-    returning.
+    returning.  Chop reads ``h`` (at least 1) and ``delta`` (positive,
+    or None for a schedule from the component's diameter); the other
+    strategies ignore both.
     """
     if strategy not in _STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; "
                          f"choose from {sorted(_STRATEGIES)}")
+    if strategy == "chop":
+        # checked up front: a bad value would otherwise surface as a
+        # failure on the first component cut, or not at all
+        if h < 1:
+            raise ValueError(f"h must be at least 1, got {h}")
+        if delta is not None and not delta > 0:
+            raise ValueError(f"delta must be positive, got {delta}")
     n = graph.n
     if mu is None:
         mass = np.ones(n)

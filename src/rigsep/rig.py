@@ -12,11 +12,11 @@ from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
-from scipy.sparse import csr_matrix
 from scipy.sparse import csgraph as _csgraph
 
 from .graph import (
     Graph,
+    _csr,
     graph_from_json_dict,
     graph_to_json_dict,
     subdivision,
@@ -95,8 +95,8 @@ def _disconnected_regions(base: Graph, regions) -> np.ndarray:
     want = owner[src] * base.n + ev[edge]
     dst = np.minimum(np.searchsorted(code, want), code.size - 1)
     hit = code[dst] == want
-    union = csr_matrix((np.ones(int(hit.sum()), dtype=np.int8),
-                        (src[hit], dst[hit])), shape=(verts.size, verts.size))
+    # rows ascend with the slot, columns with the edge run
+    union = _csr(verts.size, src[hit], dst[hit], np.ones(int(hit.sum())))
     ncomp, labels = _csgraph.connected_components(union, directed=False)
     comp_owner = np.empty(ncomp, dtype=np.intp)
     comp_owner[labels] = owner
@@ -120,14 +120,12 @@ def rig_over_subdivision(graph: Graph) -> RegionAssignment:
     its incident edges; two regions meet exactly at the midpoint of the
     shared edge, so ``build_rig`` returns ``graph`` back.
     """
-    base = subdivision(graph)
     n = graph.n
-    incident = [[] for _ in range(n)]
+    regions = [[v] for v in range(n)]
     for k, (u, v) in enumerate(graph.edges):
-        incident[u].append(n + k)
-        incident[v].append(n + k)
-    regions = tuple(tuple([v] + incident[v]) for v in range(n))
-    return RegionAssignment(base, regions)
+        regions[u].append(n + k)
+        regions[v].append(n + k)
+    return RegionAssignment(subdivision(graph), tuple(map(tuple, regions)))
 
 
 def distinguished_vertices(assign: RegionAssignment) -> tuple:

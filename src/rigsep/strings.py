@@ -279,7 +279,7 @@ def string_graph_from_polylines(arr: PolylineArrangement):
             if u != v:
                 edges.add((min(u, v), max(u, v)))
 
-    base = Graph(len(keys), sorted(edges))
+    base = Graph(len(keys), edges)
     assign = RegionAssignment(base, tuple(regions))
     rig = build_rig(assign)
     return rig, base, assign

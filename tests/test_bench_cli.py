@@ -259,6 +259,11 @@ class TestScalingStudy:
         with pytest.raises(ValueError):
             scaling_study(sizes=[8, 4])
 
+    def test_trials_validation(self):
+        for trials in (0, -1):
+            with pytest.raises(ValueError, match="trials must be at least 1"):
+                scaling_study(kind="grid", sizes=[2, 3], trials=trials)
+
     def test_worker_count_env(self, monkeypatch):
         monkeypatch.setenv("RIGSEP_WORKERS", "3")
         assert worker_count() == 3
@@ -433,3 +438,17 @@ class TestCLI:
                 fh.write(text)
             assert main(["sep", name]) == 2, text
             assert capsys.readouterr().err.startswith("rigsep:"), text
+        main(["gen", "grid", "3", "--out", "g.json"])
+        capsys.readouterr()
+        bad_values = (
+            (["spectrum", "g.json", "--k", "0"], "k=0"),
+            (["scale", "--kind", "grid", "--sizes", "2,3", "--trials", "0"],
+             "trials"),
+            (["sep", "g.json", "--method", "chop", "--delta", "-1"], "delta"),
+            (["sep", "g.json", "--method", "chop", "--delta", "0"], "delta"),
+            (["sep", "g.json", "--method", "chop", "--h", "0"], "h must"),
+        )
+        for argv, named in bad_values:
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("rigsep:") and named in err, (argv, err)

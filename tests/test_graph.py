@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse import csr_matrix
 
 from conftest import random_connected_graph
 from rigsep.graph import (
     LIPSCHITZ_TOL,
     Graph,
+    _length_matrix,
     balls_and_sphere,
     check_weights,
     complete_graph,
@@ -78,6 +80,138 @@ class TestConstruction:
     def test_adjacency_masks(self):
         g = path_graph(3)
         assert g.adjacency_masks() == (0b010, 0b101, 0b010)
+
+
+def _loop_reference(n, edges):
+    """The per-edge loop the numpy constructor replaced: the sorted edge
+    tuple, the sorted neighbour tuples and the endpoint arrays and
+    adjacency CSR built from them by scipy's COO path."""
+    seen = set()
+    adj = [[] for _ in range(n)]
+    for e in edges:
+        u, v = int(e[0]), int(e[1])
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        if u == v:
+            raise ValueError(f"loop at vertex {u} not allowed")
+        if u > v:
+            u, v = v, u
+        if (u, v) in seen:
+            raise ValueError(f"duplicate edge ({u}, {v})")
+        seen.add((u, v))
+        adj[u].append(v)
+        adj[v].append(u)
+    edge_tuple = tuple(sorted(seen))
+    ends = np.asarray(edge_tuple, dtype=np.intp).reshape(-1, 2)
+    eu, ev = ends[:, 0].copy(), ends[:, 1].copy()
+    mat = csr_matrix((np.ones(2 * eu.size), (np.concatenate([eu, ev]),
+                                             np.concatenate([ev, eu]))),
+                     shape=(n, n))
+    return edge_tuple, tuple(tuple(sorted(nb)) for nb in adj), (eu, ev, mat)
+
+
+def _assert_same_arrays(got, want):
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+
+
+def _assert_matches_reference(n, rows, form):
+    """Build from ``rows`` handed over as ``form``; the graph, or the
+    ValueError message, must equal the reference loop's."""
+    inputs = {
+        "list": lambda: [tuple(r) for r in rows],
+        "tuple": lambda: tuple(list(r) for r in rows),
+        "generator": lambda: (tuple(r) for r in rows),
+        "numpy": lambda: np.asarray(rows, dtype=np.int64).reshape(len(rows), 2),
+    }
+    try:
+        want = _loop_reference(n, rows)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            Graph(n, inputs[form]())
+        assert str(got.value) == str(exc)
+        return
+    g = Graph(n, inputs[form]())
+    edge_tuple, nbrs, (eu, ev, mat) = want
+    assert g.edges == edge_tuple and g.m == len(edge_tuple)
+    assert all(type(x) is int for e in g.edges for x in e)
+    assert tuple(g.neighbors(v) for v in range(n)) == nbrs
+    geu, gev, gmat = g._structure()
+    _assert_same_arrays(geu, eu)
+    _assert_same_arrays(gev, ev)
+    for attr in ("indptr", "indices", "data"):
+        _assert_same_arrays(getattr(gmat, attr), getattr(mat, attr))
+    assert gmat.shape == (n, n)
+
+
+@st.composite
+def edge_inputs(draw):
+    """Vertex count and edge rows: distinct valid pairs in random order
+    and orientation, then maybe duplicates, loops and out-of-range rows
+    spliced in anywhere."""
+    n = draw(st.integers(0, 10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rows = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    rows = [(v, u) if draw(st.booleans()) else (u, v) for u, v in rows]
+    faults = st.one_of(
+        st.integers(-3, n + 3).map(lambda u: (u, u)),
+        st.tuples(st.integers(-3, n + 3), st.integers(-3, n + 3)),
+        st.sampled_from(rows).map(lambda e: e[::-1]) if rows
+        else st.just((0, 0)),
+    )
+    for fault in draw(st.lists(faults, max_size=draw(st.integers(0, 3)))):
+        rows.insert(draw(st.integers(0, len(rows))), fault)
+    return n, rows
+
+
+class TestConstructorMatchesLoop:
+    @settings(max_examples=400, deadline=None)
+    @given(case=edge_inputs(),
+           form=st.sampled_from(["list", "tuple", "generator", "numpy"]))
+    def test_random_edge_lists(self, case, form):
+        n, rows = case
+        _assert_matches_reference(n, rows, form)
+
+    @pytest.mark.parametrize("form", ["list", "tuple", "generator", "numpy"])
+    def test_fixed_inputs(self, form):
+        cases = [
+            (0, []), (4, []), (3, [(2, 1), (0, 2)]),
+            (3, [(0, 1), (1, 0)]), (3, [(1, 1)]), (3, [(0, 3)]),
+            (3, [(-1, 2)]), (3, [(3, 3)]), (4, [(0, 1), (3, 3), (1, 0)]),
+            (4, [(0, 1), (1, 0), (2, 2)]), (4, [(2, 3), (2, 2), (3, 2)]),
+        ]
+        for n, rows in cases:
+            _assert_matches_reference(n, rows, form)
+
+    def test_catalog_graphs(self, catalog_flat):
+        for g in catalog_flat:
+            for rows in (list(g.edges), [e[::-1] for e in reversed(g.edges)]):
+                _assert_matches_reference(g.n, rows, "numpy")
+                assert Graph(g.n, rows) == g
+
+    @pytest.mark.parametrize("edges, row", [
+        ([[0, 1, 2], [3, 4, 5]], 0),
+        (np.array([[0, 1, 2], [3, 4, 5]]), 0),
+        ([[0, 1], [2]], 1),
+        ([[0], [1]], 0),
+        (np.array([[0], [1]]), 0),
+        ([(0, 1), (1, 2), (2, 3, 4)], 2),
+        ([0, 1], 0),
+    ])
+    def test_rows_that_are_not_pairs_raise(self, edges, row):
+        with pytest.raises(ValueError, match=f"edge {row} is .*not a pair"):
+            Graph(6, edges)
+
+    def test_length_matrix_keeps_zero_length_edges(self):
+        g = path_graph(3)
+        w = np.array([0.0, 0.0, 1.0])
+        mat = _length_matrix(g, w, np.arange(3))
+        assert mat.nnz == 2
+        np.testing.assert_array_equal(mat.indptr, [0, 1, 2, 2])
+        np.testing.assert_array_equal(mat.indices, [1, 2])
+        np.testing.assert_array_equal(mat.data, [0.0, 0.5])
+        assert dist_omega(g, w).d(0, 1) == 0.0
+        assert dist_omega(g, w, subset=[0, 1]).d(1, 0) == 0.0
 
 
 class TestWeights:

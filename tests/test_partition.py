@@ -653,6 +653,22 @@ class TestBalancedSeparatorDriver:
         with pytest.raises(ValueError):
             balanced_separator(path_graph(4), strategy="magic")
 
+    def test_chop_parameters_checked_up_front(self):
+        # the two triangles need no cut, so a bad value can only be caught
+        # before the first component is looked at
+        two_triangles = Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
+        for g in (grid_graph(4), two_triangles):
+            with pytest.raises(ValueError, match="h must be at least 1, got 0"):
+                balanced_separator(g, strategy="chop", h=0)
+            for delta in (-1.0, 0.0, math.nan):
+                with pytest.raises(ValueError, match="delta must be positive"):
+                    balanced_separator(g, strategy="chop", delta=delta)
+        # spectral and lp-round ignore both parameters
+        for strategy in ("spectral", "lp-round"):
+            assert balanced_separator(grid_graph(4), strategy=strategy, h=0,
+                                      delta=-1.0) == \
+                balanced_separator(grid_graph(4), strategy=strategy)
+
     @settings(max_examples=15, deadline=None)
     @given(
         g=st.builds(

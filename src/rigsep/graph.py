@@ -490,9 +490,11 @@ def balls_and_sphere(
     non-strictly (`dist <= R + omega/2`); the sphere is fat minus skinny,
     i.e. the vertices whose closed interval [dist - omega/2, dist + omega/2]
     contains R.  A precomputed ``metric`` row for ``center`` may be supplied
-    to skip the Dijkstra.
+    to skip the Dijkstra.  ``radius`` must be nonnegative and finite.
     """
     w = check_weights(graph, omega)
+    if not (np.isfinite(radius) and radius >= 0):
+        raise ValueError(f"radius must be nonnegative and finite, got {radius}")
     if metric is None:
         metric = dist_omega(graph, omega, [center], subset=subset)
     row = metric.row(center)

@@ -12,6 +12,8 @@ witnesses turn those samples into one-dimensional maps and vertex cuts;
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
@@ -26,6 +28,7 @@ from .graph import (
     Graph,
     MetricView,
     _length_matrix,
+    _vertex_array,
     check_weights,
     connected_components,
     dist_omega,
@@ -63,6 +66,21 @@ def _check_metric(graph: Graph, metric):
             metric.all_pairs and metric.vertices == tuple(range(graph.n))):
         raise ValueError("metric must be the all-pairs view over all "
                          "vertices of the graph")
+
+
+def _check_delta(delta) -> None:
+    if not (math.isfinite(delta) and delta > 0):
+        raise ValueError(f"delta must be positive and finite, got {delta}")
+
+
+def _check_h(h) -> int:
+    try:
+        h = operator.index(h)
+    except TypeError:
+        raise ValueError(f"h must be an integer, got {h!r}") from None
+    if h < 1:
+        raise ValueError(f"h must be at least 1, got {h}")
+    return h
 
 
 def _interval_data(graph: Graph, omega, center, *, subset=None, metric=None):
@@ -171,8 +189,7 @@ def build_chopping_tree(graph: Graph, omega, delta: float, *, depth: int,
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    _check_delta(delta)
     w = check_weights(graph, omega)
     _check_metric(graph, metric)
     if subset is None:
@@ -260,12 +277,17 @@ def shatter(graph: Graph, omega, centers, taus, delta: float, *,
     every vertex of ``subset`` is within ambient distance delta of some
     center, each returned component has ambient diameter at most
     2 * (delta + max tau); this is asserted whenever the precondition
-    holds and ``rows`` carries the needed ambient distances.
+    holds and ``rows`` carries the needed ambient distances.  Each
+    component's diameter is exact, from the few ambient Dijkstra rows
+    its eccentricity bounds call for (``_set_diameter``).
     """
     centers = [int(c) for c in centers]
     taus = [float(t) for t in taus]
     if len(centers) != len(taus):
         raise ValueError("need one tau per center")
+    _check_delta(delta)
+    if not all(math.isfinite(t) and t >= 0 for t in taus):
+        raise ValueError(f"taus must be nonnegative and finite, got {taus}")
     if subset is None:
         subset = range(graph.n)
     vs = tuple(sorted({int(v) for v in subset}))
@@ -280,6 +302,8 @@ def shatter(graph: Graph, omega, centers, taus, delta: float, *,
         amb = tuple(sorted({int(v) for v in ambient})) if ambient is not None \
             else tuple(range(graph.n))
         vpos = {v: i for i, v in enumerate(amb)}
+    if not vpos.keys() >= set(vs):
+        raise ValueError("subset must lie inside ambient")
     idx = np.asarray([vpos[v] for v in vs], dtype=np.intp)
     varr = np.asarray(vs, dtype=np.intp)
     shard, mind = _sphere_shards(
@@ -308,15 +332,89 @@ def _sphere_shards(w, varr, dists, radii):
 
 
 def _assert_component_diameters(graph, w, comps, bound, *, ambient=None):
+    vs = _vertex_array(graph, ambient)
+    lengths = _length_matrix(graph, w, vs)
     for comp in comps:
-        mv = dist_omega(graph, w, comp, subset=ambient)
-        cols = np.flatnonzero(np.isin(mv.vertices, comp))
-        diam = float(np.max(mv.dist[:, cols])) if cols.size else 0.0
+        diam = _set_diameter(lengths, np.searchsorted(vs, comp))
         if diam > bound:
             raise RuntimeError(
                 f"component diameter {diam:.6g} exceeds certified bound "
                 f"{bound:.6g}"
             )
+
+
+# sources per Dijkstra call of _set_diameter: each csgraph call checks and
+# transposes the matrix afresh, and a batch shares that cost
+_DIAMETER_BATCH = 8
+
+
+def _exact_sums(lengths) -> bool:
+    """Whether every path length over these edge lengths, and the sum or
+    difference of two, is exact in floating point: all lengths lie on the
+    2^-20 grid and they total less than 2^30, so each such number needs
+    at most 51 bits."""
+    scaled = lengths.data * 2.0**20
+    return bool(np.all(scaled == np.floor(scaled))) and \
+        float(lengths.data.sum()) < 2.0**30
+
+
+def _set_diameter(lengths, cols) -> float:
+    """Ambient diameter of a vertex set: the largest entry of the ``cols``
+    rows of the all-pairs distances of the length CSR ``lengths``,
+    restricted to the ``cols`` columns, from as few of those rows as the
+    eccentricity bounds of Takes & Kosters (2011) allow.
+
+    A row u read so far, with eccentricity e_u within the set, bounds
+    every v's by max(d(u,v), e_u - d(u,v)) <= e_v <= e_u + d(u,v).  Rows
+    are read in batches, half by highest upper bound (peripheral
+    vertices, to raise the best) and half by lowest lower bound (central
+    ones, to tighten the upper bounds), each search stopped past the
+    batch's largest upper bound.  A row whose upper bound is below the
+    best by more than a rounding margin cannot hold the maximum and is
+    never read, so the result is the all-rows maximum bit for bit.  When
+    every sum is exact (``_exact_sums``: unit or dyadic weights) the
+    bounds are exact too, so the lower bounds count towards the best and
+    ties are not read; otherwise d(u,v) and d(v,u) may differ in the last
+    place and only rows read count.
+    """
+    cols = np.asarray(cols, dtype=np.intp)
+    k = cols.size
+    if k < 2:
+        return 0.0
+    exact = _exact_sums(lengths)
+    lo = np.zeros(k)
+    hi = np.full(k, np.inf)
+    todo = np.ones(k, dtype=bool)
+    best = 0.0
+    half = _DIAMETER_BATCH // 2
+    while True:
+        cand = np.flatnonzero(todo)
+        if cand.size == 0:
+            return best
+        if cand.size <= _DIAMETER_BATCH:
+            pick = cand
+        else:
+            # stable sorts: ties go to the lowest position
+            far = cand[np.argsort(-hi[cand], kind="stable")[:half]]
+            rest = cand[~np.isin(cand, far)]
+            near = rest[np.argsort(lo[rest], kind="stable")[:half]]
+            pick = np.concatenate([far, near])
+        # every in-set entry of row u is at most e_u <= hi[u]
+        top = float(hi[pick].max())
+        rows = _csgraph.dijkstra(lengths, directed=False, indices=cols[pick],
+                                 limit=top + 1e-9 * max(1.0, top))[:, cols]
+        ecc = rows.max(axis=1)
+        best = max(best, float(ecc.max()))
+        if best == math.inf:
+            return best
+        todo[pick] = False
+        lo = np.maximum(lo, np.maximum(rows, ecc[:, None] - rows).max(axis=0))
+        hi = np.minimum(hi, (ecc[:, None] + rows).min(axis=0))
+        if exact:
+            best = max(best, float(lo.max()))
+            todo &= hi > best
+        else:
+            todo &= hi >= best - 1e-9 * max(1.0, best)
 
 
 # ---------------------------------------------------------------------------
@@ -358,14 +456,18 @@ def random_separator(graph: Graph, omega, delta: float, h: int, seed: int,
     recorded as spacing events, the one case where the certificate is
     not guaranteed.
 
+    The certificate's ``max_component_diameter`` is exact: with
+    ``metric`` it is the largest entry of each component's block of the
+    matrix; without, each component's diameter comes from the few
+    whole-graph Dijkstra rows its eccentricity bounds call for
+    (``_set_diameter``), over one length matrix per call.
+
     ``metric``, if given, must be the all-pairs ``dist_omega(graph,
     omega)``; the chopping trees and the diameter certificate then read
     its rows instead of recomputing them.
     """
-    if h < 1:
-        raise ValueError("h must be at least 1")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    h = _check_h(h)
+    _check_delta(delta)
     w = check_weights(graph, omega)
     _check_metric(graph, metric)
     n = graph.n
@@ -411,16 +513,18 @@ def random_separator(graph: Graph, omega, delta: float, h: int, seed: int,
     components = tuple(connected_components(
         graph, subset=[v for v in range(n) if v not in s]))
     bound = (42.0 * h + 2.0) * delta
+    if metric is None:
+        lengths = _length_matrix(graph, w, np.arange(n))
     max_diam = 0.0
     for comp in components:
         if len(comp) == 1:
             continue
         cols = np.asarray(comp, dtype=np.intp)
         if metric is not None:
-            sub = metric.matrix()[np.ix_(cols, cols)]
+            diam = float(np.max(metric.matrix()[np.ix_(cols, cols)]))
         else:
-            sub = dist_omega(graph, w, comp).dist[:, cols]
-        max_diam = max(max_diam, float(np.max(sub)))
+            diam = _set_diameter(lengths, cols)
+        max_diam = max(max_diam, diam)
     holds = max_diam <= bound + 1e-9
     if not holds and not spaced:
         raise RuntimeError(
@@ -520,6 +624,8 @@ def rounding_map_ball(graph: Graph, omega, x0: int, radius: float, *,
     """
     w = check_weights(graph, omega)
     _check_metric(graph, metric)
+    if not (isinstance(x0, numbers.Integral) and 0 <= x0 < graph.n):
+        raise ValueError(f"x0 must be a vertex of the graph, got {x0!r}")
     mv = dist_omega(graph, w) if metric is None else metric
     ball = np.flatnonzero(mv.row(x0) <= radius)
     if not ball.size:
@@ -589,17 +695,20 @@ def sweep_cut(graph: Graph, omega, f):
     At each critical threshold theta in {f(v) +- omega(v)/2} the vertex
     set splits into A = {f <= theta}, B = {f > theta} and the slab
     S = {|f - theta| <= omega/2}; no edge joins A minus S to B minus S
-    (checked).  Both U = A union S and U = B union S are scored by
-    boundary-over-size whenever the interior covers at most half the
-    vertices; the best feasible candidate, by ascending theta with the
-    A side first, is returned as (U, ratio), or ((), inf) when no
-    threshold separates.  Thresholds are scored in blocks of array
-    passes of at most ``_SWEEP_CELLS`` vertex-threshold cells.
+    (the checked Lipschitz bound of f implies it).  Both U = A union S
+    and U = B union S are scored by boundary-over-size whenever the
+    interior covers at most half the vertices; the best feasible
+    candidate, by ascending theta with the A side first, is returned as
+    (U, ratio), or ((), inf) when no threshold separates.  Thresholds
+    are scored in blocks of array passes of at most ``_SWEEP_CELLS``
+    vertex-threshold cells.
     """
     w = check_weights(graph, omega)
     vals = np.asarray(f, dtype=float)
     if vals.shape != (graph.n,):
         raise ValueError("f must assign a value to every vertex")
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("f must be finite")
     _edge_lipschitz_check(graph, w, vals)
 
     n = graph.n
@@ -627,14 +736,10 @@ def sweep_cut(graph: Graph, omega, f):
         a_clean = a & ~slab
         b_clean = ~a & ~slab
         t = theta.size
-        # A u S loses its boundary to B minus S, B u S to A minus S
+        # A u S loses its boundary to B minus S, B u S to A minus S.  No
+        # edge joins A minus S to B minus S: that needs a Lipschitz excess
+        # above 2 * LIPSCHITZ_TOL, and the edge check allows at most 1e-9.
         hits = adj @ np.concatenate([b_clean, a_clean], axis=1)
-        leak = np.any(a_clean & hits[:, :t], axis=0)
-        if np.any(leak):
-            raise RuntimeError(
-                f"threshold {theta[int(np.argmax(leak))]}: an edge crosses "
-                f"the slab"
-            )
         side = np.concatenate([a | slab, ~a | slab], axis=1)
         size = side.sum(axis=0)
         n_boundary = (side & hits).sum(axis=0)
@@ -889,9 +994,9 @@ def balanced_separator(graph: Graph, strategy: str = "spectral", mu=None, *,
     strategy (spectral sweep, extremal-weight LP plus ball-map rounding,
     or random chopping plus coloring-map rounding) and accumulates the
     cut vertices.  The balance of the final result is verified before
-    returning.  Chop reads ``h`` (at least 1) and ``delta`` (positive,
-    or None for a schedule from the component's diameter); the other
-    strategies ignore both.
+    returning.  Chop reads ``h`` (an integer, at least 1) and ``delta``
+    (positive and finite, or None for a schedule from the component's
+    diameter); the other strategies ignore both.
     """
     if strategy not in _STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; "
@@ -899,10 +1004,9 @@ def balanced_separator(graph: Graph, strategy: str = "spectral", mu=None, *,
     if strategy == "chop":
         # checked up front: a bad value would otherwise surface as a
         # failure on the first component cut, or not at all
-        if h < 1:
-            raise ValueError(f"h must be at least 1, got {h}")
-        if delta is not None and not delta > 0:
-            raise ValueError(f"delta must be positive, got {delta}")
+        _check_h(h)
+        if delta is not None:
+            _check_delta(delta)
     n = graph.n
     if mu is None:
         mass = np.ones(n)

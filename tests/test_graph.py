@@ -307,6 +307,12 @@ class TestBallsAndSpread:
         assert bs.fat == (0, 1, 2, 3, 4)
         assert bs.sphere == (0, 1, 3, 4)
 
+    @pytest.mark.parametrize("radius", [math.nan, -1.0, math.inf])
+    def test_balls_and_sphere_radius_checked(self, radius):
+        with pytest.raises(ValueError, match="radius must be nonnegative "
+                                             "and finite"):
+            balls_and_sphere(path_graph(5), np.ones(5), 2, radius)
+
     def test_sphere_interval_semantics(self):
         # vertex is on the sphere iff [d - w/2, d + w/2] contains R
         g = path_graph(3)

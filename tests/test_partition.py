@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import mc_margin, random_connected_graph
-from rigsep import partition
+from rigsep import generate, partition
 from rigsep.graph import (
     LIPSCHITZ_TOL,
     Graph,
+    _length_matrix,
     balls_and_sphere,
     complete_graph,
     connected_components,
@@ -182,6 +183,138 @@ class TestShatter:
         assert cut == () and comps == [(0, 1, 2, 3)]
 
 
+class TestSetDiameter:
+    """``_set_diameter`` against the maximum over every row, and the two
+    certificates that read it."""
+
+    WEIGHTS = ("unit", "dyadic", "non-dyadic", "zeros")
+
+    @staticmethod
+    def _weights(kind, n, rng):
+        if kind == "unit":
+            return np.ones(n)
+        if kind == "dyadic":
+            return rng.choice([0.0, 0.5, 1.0, 1.5], size=n)
+        if kind == "non-dyadic":
+            return rng.uniform(0.2, 1.8, size=n)
+        return rng.uniform(0.0, 1.0, size=n) * (rng.random(n) < 0.7)
+
+    @pytest.mark.parametrize("batch", [2, 8])
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_equals_the_all_rows_maximum(self, catalog_flat, monkeypatch,
+                                         batch, data):
+        monkeypatch.setattr(partition, "_DIAMETER_BATCH", batch)
+        family = data.draw(st.sampled_from(
+            ["catalog", "triangulation", "segments"]))
+        seed = data.draw(st.integers(0, 10**4))
+        if family == "catalog":
+            g = data.draw(st.sampled_from(catalog_flat))
+        elif family == "triangulation":
+            g = generate("planar-triangulation",
+                         data.draw(st.integers(4, 90)), seed).graph
+        else:
+            g = generate("random-segments",
+                         data.draw(st.integers(3, 40)), seed).graph
+        rng = np.random.default_rng(seed)
+        w = self._weights(data.draw(st.sampled_from(self.WEIGHTS)), g.n, rng)
+        ambient = np.arange(g.n)
+        if g.n > 3 and data.draw(st.booleans()):
+            # a proper ambient subset, as shatter's ``ambient=``
+            ambient = np.flatnonzero(rng.random(g.n) < 0.8)
+            if ambient.size == 0 or ambient.size == g.n:
+                ambient = np.arange(1, g.n)
+        size = data.draw(st.sampled_from(
+            [1, 2, int(rng.integers(1, ambient.size + 1)), ambient.size]))
+        size = min(size, ambient.size)
+        members = np.sort(rng.choice(ambient, size=size, replace=False))
+        mv = dist_omega(g, w, members, subset=ambient)
+        cols = np.searchsorted(ambient, members)
+        want = float(np.max(mv.dist[:, cols]))
+        got = partition._set_diameter(_length_matrix(g, w, ambient), cols)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_last_place_ties_are_read(self):
+        # on these weights some row the bounds tie with the best holds the
+        # maximum one ulp higher (seeds 18 and 38 of the 80 cases), which
+        # pruning ties would lose
+        for seed in range(40):
+            g = generate("planar-triangulation", 88, seed).graph
+            for kind in ("non-dyadic", "zeros"):
+                w = self._weights(kind, g.n, np.random.default_rng(seed))
+                vs = np.arange(g.n)
+                want = float(np.max(dist_omega(g, w).dist))
+                got = partition._set_diameter(_length_matrix(g, w, vs), vs)
+                assert got == want, (seed, kind)
+
+    def test_reads_few_rows(self, monkeypatch):
+        # a grid's eccentricity bounds settle the 121-vertex diameter from
+        # a fraction of its rows
+        calls = []
+        real = partition._csgraph.dijkstra
+
+        def counting(*args, indices, **kwargs):
+            calls.append(len(indices))
+            return real(*args, indices=indices, **kwargs)
+
+        monkeypatch.setattr(partition._csgraph, "dijkstra", counting)
+        g = grid_graph(10)
+        diam = partition._set_diameter(_length_matrix(g, np.ones(g.n),
+                                                      np.arange(g.n)),
+                                       np.arange(g.n))
+        assert diam == 20.0
+        assert sum(calls) <= g.n // 4, calls
+
+    def test_exact_sums(self):
+        g = grid_graph(4)
+        vs = np.arange(g.n)
+        rng = np.random.default_rng(3)
+        for w, exact in ((np.ones(g.n), True),
+                         (rng.choice([0.0, 0.25, 1.5], size=g.n), True),
+                         (rng.uniform(0.2, 1.8, size=g.n), False),
+                         (np.full(g.n, 2.0**27), False)):
+            assert partition._exact_sums(_length_matrix(g, w, vs)) is exact
+
+    def test_shatter_certificate_fires_on_forged_rows(self):
+        # rows claiming every vertex sits on the center: the precondition
+        # holds, no sphere cuts, and the whole path survives as one
+        # component of diameter 9 > 2 * (1 + 0)
+        g = path_graph(10)
+        with pytest.raises(RuntimeError, match="component diameter 9 "
+                                               "exceeds certified bound 2"):
+            shatter(g, np.ones(10), [0], [0.0], 1.0, rows={0: np.zeros(10)})
+
+    def test_random_separator_certificate_fires_without_shards(
+            self, monkeypatch):
+        # With its true least distances an unsharded leaf stays within
+        # (42h + 1) * delta: it lies in a width-delta annulus around each
+        # center above it.  Forged zero distances record no spacing event,
+        # so the whole h = 1 leaf, a path of diameter 59, must fail the
+        # 44 * delta bound.
+        monkeypatch.setattr(
+            partition, "_sphere_shards",
+            lambda w, varr, dists, radii: (np.zeros(len(varr), dtype=bool),
+                                           np.zeros(len(varr))))
+        g = path_graph(60)
+        with pytest.raises(RuntimeError, match="diameter certificate "
+                                               "violated without a spacing "
+                                               "event: 59 > 44"):
+            random_separator(g, np.ones(60), 1.0, 1, seed=0)
+
+    def test_with_and_without_metric_agree(self):
+        for i, g in enumerate([grid_graph(8),
+                               generate("planar-triangulation", 150, 2).graph,
+                               random_connected_graph(60, 5, 30)]):
+            rng = np.random.default_rng(i)
+            for kind in self.WEIGHTS:
+                w = self._weights(kind, g.n, rng)
+                mv = dist_omega(g, w)
+                for seed in range(3):
+                    assert random_separator(g, w, 1.5, 2, seed) == \
+                        random_separator(g, w, 1.5, 2, seed, metric=mv)
+
+
 class TestRandomSeparator:
     def test_sample_invariants(self):
         g = grid_graph(14)
@@ -256,6 +389,72 @@ class TestRandomSeparator:
                 continue  # vacuous for heavy vertices at this scale
             phat = counts[v] / trials
             assert phat <= bound + mc_margin(phat, trials), (v, phat, bound)
+
+
+class TestParameterChecks:
+    """Bad scalars and vertices fail with a ValueError naming the
+    parameter, instead of a raw numpy error or a silent answer."""
+
+    BAD_DELTAS = [math.nan, math.inf, -math.inf]
+
+    @pytest.mark.parametrize("delta", BAD_DELTAS)
+    def test_random_separator_delta(self, delta):
+        with pytest.raises(ValueError, match="delta must be positive and "
+                                             "finite"):
+            random_separator(grid_graph(4), np.ones(25), delta, 2, seed=0)
+
+    @pytest.mark.parametrize("delta", BAD_DELTAS)
+    def test_chopping_tree_delta(self, delta):
+        with pytest.raises(ValueError, match="delta must be positive and "
+                                             "finite"):
+            build_chopping_tree(grid_graph(4), np.ones(25), delta, depth=1,
+                                seed=0)
+
+    @pytest.mark.parametrize("h", [2.5, "2"])
+    def test_random_separator_h(self, h):
+        with pytest.raises(ValueError, match="h must be an integer"):
+            random_separator(grid_graph(4), np.ones(25), 1.0, h, seed=0)
+
+    @pytest.mark.parametrize("delta", [math.nan, -1.0])
+    def test_shatter_delta(self, delta):
+        with pytest.raises(ValueError, match="delta must be positive and "
+                                             "finite"):
+            shatter(grid_graph(4), np.ones(25), [12], [0.5], delta)
+
+    @pytest.mark.parametrize("tau", [math.nan, -1.0])
+    def test_shatter_taus(self, tau):
+        # a NaN tau would make the certificate's bound NaN, which every
+        # diameter passes
+        with pytest.raises(ValueError, match="taus must be nonnegative and "
+                                             "finite"):
+            shatter(grid_graph(4), np.ones(25), [12], [tau], 8.0)
+
+    @pytest.mark.parametrize("rows", [False, True])
+    def test_shatter_subset_inside_ambient(self, rows):
+        g = path_graph(6)
+        given_rows = {0: np.arange(3.0)} if rows else None
+        with pytest.raises(ValueError, match="subset must lie inside ambient"):
+            shatter(g, np.ones(6), [0], [0.0], 1.0, subset=[0, 1, 2, 3],
+                    ambient=[0, 1, 2], rows=given_rows)
+
+    @pytest.mark.parametrize("x0", [99, -1])
+    def test_ball_map_center(self, x0):
+        with pytest.raises(ValueError, match="x0 must be a vertex"):
+            rounding_map_ball(path_graph(9), np.ones(9), x0, 2.0)
+
+    @pytest.mark.parametrize("f", [[math.nan] * 5,
+                                   [0.0, 1.0, math.inf, 3.0, 4.0]])
+    def test_sweep_map_finite(self, f):
+        with pytest.raises(ValueError, match="f must be finite"):
+            sweep_cut(path_graph(5), np.ones(5), f)
+
+    @pytest.mark.parametrize("h, delta, match", [
+        (2.5, None, "h must be an integer"),
+        (2, math.inf, "delta must be positive and finite"),
+    ])
+    def test_chop_driver(self, h, delta, match):
+        with pytest.raises(ValueError, match=match):
+            balanced_separator(grid_graph(4), "chop", h=h, delta=delta)
 
 
 class TestPaddedPartition:
@@ -419,11 +618,6 @@ def _sweep_cut_per_threshold(graph, omega, f):
     for theta in thresholds:
         a = vals <= theta
         slab = np.abs(vals - theta) <= w / 2.0 + LIPSCHITZ_TOL
-        a_clean = a & ~slab
-        b_clean = ~a & ~slab
-        if eu.size and np.any((a_clean[eu] & b_clean[ev]) |
-                              (a_clean[ev] & b_clean[eu])):
-            raise RuntimeError(f"threshold {theta}: an edge crosses the slab")
         for side in (a | slab, ~a | slab):
             size = int(side.sum())
             if size == 0:
@@ -438,6 +632,20 @@ def _sweep_cut_per_threshold(graph, omega, f):
                 best_ratio = ratio
                 best_u = tuple(int(v) for v in np.flatnonzero(side))
     return best_u, best_ratio
+
+
+def _leaks(graph, w, f):
+    """Whether some sweep threshold has an edge from A minus its slab to
+    B minus its slab."""
+    vals = np.asarray(f, dtype=float)
+    eu, ev, _ = graph._structure()
+    for theta in np.unique(np.concatenate([vals - w / 2.0, vals + w / 2.0])):
+        a = vals <= theta
+        slab = np.abs(vals - theta) <= w / 2.0 + LIPSCHITZ_TOL
+        a_clean, b_clean = a & ~slab, ~a & ~slab
+        if np.any((a_clean[eu] & b_clean[ev]) | (a_clean[ev] & b_clean[eu])):
+            return True
+    return False
 
 
 class TestSweepMatchesPerThresholdLoop:
@@ -465,22 +673,36 @@ class TestSweepMatchesPerThresholdLoop:
             assert sweep_cut(g, w, f) == _sweep_cut_per_threshold(g, w, f)
 
     @pytest.mark.parametrize("cells", [1 << 18, 5])
-    def test_same_leak_error(self, monkeypatch, cells):
-        # the edge check rejects every leaking map first; without it the
-        # slab check must fail at the same threshold with the same text
-        monkeypatch.setattr(partition, "_edge_lipschitz_check",
-                            lambda *args: None)
+    def test_every_leak_fails_the_edge_check(self, monkeypatch, cells):
+        # the sweep has no slab-leak check of its own: a leak needs a
+        # Lipschitz excess above 2 * LIPSCHITZ_TOL, which the edge check
+        # rejects first, in blocks of any size
         monkeypatch.setattr(partition, "_SWEEP_CELLS", cells)
         g = path_graph(7)
         w = np.ones(7)
         # vertex 6 puts thresholds inside the jump across edge (2, 3)
         f = [0.0, 1.0, 2.0, 6.0, 7.0, 8.0, 4.0]
-        with pytest.raises(RuntimeError) as want:
-            _sweep_cut_per_threshold(g, w, f)
-        with pytest.raises(RuntimeError) as got:
+        assert _leaks(g, w, f)
+        with pytest.raises(RuntimeError, match=r"^map not 1-Lipschitz on "
+                                               r"edge \(2, 3\): "):
             sweep_cut(g, w, f)
-        assert str(got.value) == str(want.value)
-        assert str(got.value) == "threshold 3.5: an edge crosses the slab"
+        # near-tight maps: distances to a vertex, scaled by 1 + eps and
+        # shifted far from zero, where the slab tests round the most
+        rng = np.random.default_rng(cells)
+        leaking = 0
+        for trial in range(300):
+            g = random_connected_graph(int(rng.integers(2, 12)), trial,
+                                       int(rng.integers(0, 6)))
+            w = rng.choice([0.0, 0.1, 0.5, 1.0, 1.7, 1e7], size=g.n)
+            row = dist_omega(g, w, [0]).row(0)
+            eps = float(rng.choice([0.0, 1e-10, 5e-10, 1e-9, 3e-9, 1e-8]))
+            f = float(rng.choice([0.0, -3.3, 1e6, 1e9])) + row * (1.0 + eps)
+            if not _leaks(g, w, f):
+                continue
+            leaking += 1
+            with pytest.raises(RuntimeError, match="^map not 1-Lipschitz"):
+                sweep_cut(g, w, f)
+        assert leaking >= 20
 
 
 class TestSweepCut:

@@ -99,8 +99,7 @@ def cut_delta(graph: Graph, omega, center: int, tau: float, delta: float,
     radius tau + k*delta, k = 0, 1, ...; distances are taken inside the
     (sub)graph the cut is applied to.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    _check_delta(delta)
     if not 0 <= tau <= delta:
         raise ValueError("tau must lie in [0, delta]")
     vs, lo, hi = _interval_data(graph, omega, center, subset=subset,
@@ -994,9 +993,10 @@ def balanced_separator(graph: Graph, strategy: str = "spectral", mu=None, *,
     strategy (spectral sweep, extremal-weight LP plus ball-map rounding,
     or random chopping plus coloring-map rounding) and accumulates the
     cut vertices.  The balance of the final result is verified before
-    returning.  Chop reads ``h`` (an integer, at least 1) and ``delta``
-    (positive and finite, or None for a schedule from the component's
-    diameter); the other strategies ignore both.
+    returning.  ``mu`` must be finite and nonnegative.  Chop reads
+    ``omega`` (vertex weights, unit by default), ``h`` (an integer, at
+    least 1) and ``delta`` (positive and finite, or None for a schedule
+    from the component's diameter); the other strategies ignore them.
     """
     if strategy not in _STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; "
@@ -1007,13 +1007,17 @@ def balanced_separator(graph: Graph, strategy: str = "spectral", mu=None, *,
         _check_h(h)
         if delta is not None:
             _check_delta(delta)
+        if omega is not None:
+            omega = check_weights(graph, omega)
     n = graph.n
     if mu is None:
         mass = np.ones(n)
     else:
         mass = np.asarray(mu, dtype=float)
-        if mass.shape != (n,) or np.any(mass < 0):
-            raise ValueError("mu must be a nonnegative vector of length n")
+        if (mass.shape != (n,) or not np.all(np.isfinite(mass))
+                or np.any(mass < 0)):
+            raise ValueError("mu must be a finite nonnegative vector of "
+                             "length n")
     total = float(mass.sum())
     limit = 2.0 * total / 3.0 + 1e-12
 

@@ -36,10 +36,22 @@ class LaplacianSpectrum:
 
 
 def laplacian_matrix(graph: Graph, sparse: bool = False):
-    lap = scipy.sparse.csgraph.laplacian(graph._structure()[2]).tocsr()
-    if not sparse:
-        return lap.toarray()
-    lap.eliminate_zeros()  # an isolated vertex stores no diagonal entry
+    """The combinatorial Laplacian D - A of ``graph`` as a float array,
+    or as a CSR matrix with ``sparse=True``.
+
+    The dense matrix is written straight from the edge arrays and the
+    degrees, with no sparse intermediate; it equals csgraph's
+    ``laplacian(adj).toarray()`` entry for entry.
+    """
+    eu, ev, adj = graph._structure()
+    if sparse:
+        lap = scipy.sparse.csgraph.laplacian(adj).tocsr()
+        lap.eliminate_zeros()  # an isolated vertex stores no diagonal entry
+        return lap
+    lap = np.zeros((graph.n, graph.n))
+    lap[eu, ev] = -1.0
+    lap[ev, eu] = -1.0
+    np.fill_diagonal(lap, np.diff(adj.indptr))
     return lap
 
 

@@ -1,10 +1,20 @@
 """Shared fixtures and graph helpers for the test suite."""
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from rigsep._rng import substream
 from rigsep.graph import Graph
+
+# Under CI, property tests draw the same examples on every run and print
+# a failure's reproduction blob, so a failure in the log replays locally
+# with @reproduce_failure.
+settings.register_profile("ci", derandomize=True, print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 # connected graphs per vertex count in the small-graph catalog
 CATALOG_COUNTS = {2: 1, 3: 2, 4: 6, 5: 21, 6: 112}

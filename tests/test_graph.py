@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings, strategies as st, target
 from scipy.sparse import csr_matrix
 
 from conftest import random_connected_graph
+from rigsep import graph as graph_module
 from rigsep.graph import (
     LIPSCHITZ_TOL,
+    TRAVERSAL_LIMIT,
     Graph,
+    _components_csgraph,
+    _components_traversal,
     _length_matrix,
     balls_and_sphere,
     check_weights,
@@ -423,6 +427,84 @@ class TestAgainstNetworkx:
             (view.to_parent(a), view.to_parent(b)) for a, b in view.graph.edges
         )
         assert got_edges == sorted(tuple(sorted(e)) for e in ref.edges)
+
+
+def _random_graph(n: int, p: float, seed: int) -> Graph:
+    """G(n, p) from one seeded draw of the upper triangle."""
+    upper = np.triu(np.random.default_rng(seed).random((n, n)) < p, 1)
+    return Graph(n, np.argwhere(upper))
+
+
+def _entries(g: Graph, vs) -> int:
+    return len(vs) + sum(g.degree(v) for v in vs)
+
+
+class TestComponentPaths:
+    """The traversal below TRAVERSAL_LIMIT adjacency entries and csgraph
+    above it give the same components, equal to networkx's."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(0, 100),
+        p=st.floats(0.0, 0.6),
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["whole", "subset", "empty"]),
+        keep=st.floats(0.0, 1.0),
+    )
+    def test_paths_agree_with_networkx(self, n, p, seed, kind, keep):
+        nx = pytest.importorskip("networkx")
+        g = _random_graph(n, p, seed)
+        if kind == "whole":
+            subset = None
+            vs = list(range(n))
+        elif kind == "subset":
+            draw = np.random.default_rng(seed + 1).random(n) < keep
+            vs = np.flatnonzero(draw).tolist()
+            subset = vs[::-1] + vs[:3]  # order and repeats must not matter
+        else:
+            subset = vs = []
+        # steer some draws to the selector's constant
+        target(-abs(_entries(g, vs) - TRAVERSAL_LIMIT), label="to the limit")
+        ref = nx.Graph()
+        ref.add_nodes_from(vs)
+        ref.add_edges_from(e for e in g.edges if e[0] in ref and e[1] in ref)
+        want = sorted(tuple(sorted(c)) for c in nx.connected_components(ref))
+        assert connected_components(g, subset) == want
+        if vs:
+            arr = np.asarray(vs, dtype=np.intp)
+            assert _components_traversal(g, arr) == want
+            assert _components_csgraph(g, arr) == want
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    @pytest.mark.parametrize("whole", [True, False])
+    def test_selector_boundary(self, monkeypatch, extra, whole):
+        # a 40-clique plus isolated vertices, sized so the scan reads
+        # exactly TRAVERSAL_LIMIT entries; ``extra`` adds one edge (two
+        # entries).  The subset leaves out one vertex joined to the clique,
+        # whose edge is scanned from inside.
+        k = 40
+        n = TRAVERSAL_LIMIT - k * (k - 1) - (0 if whole else 1)
+        edges = [(i, j) for i in range(k) for j in range(i + 1, k)]
+        edges += [(k, k + 1)] * extra
+        if whole:
+            g, subset = Graph(n, edges), None
+        else:
+            g, subset = Graph(n + 1, edges + [(0, n)]), range(n)
+        vs = np.arange(n)
+        assert _entries(g, vs) == TRAVERSAL_LIMIT + 2 * extra
+        called = []
+        for name in ("_components_traversal", "_components_csgraph"):
+            def spy(graph, arr, real=getattr(graph_module, name), name=name):
+                called.append(name)
+                return real(graph, arr)
+
+            monkeypatch.setattr(graph_module, name, spy)
+        got = connected_components(g, subset)
+        assert called == ["_components_csgraph" if extra
+                          else "_components_traversal"]
+        assert got == _components_traversal(g, vs) == \
+            _components_csgraph(g, vs)
+        assert got[0] == tuple(range(k)) and len(got) == n - k + 1 - extra
 
 
 class TestJson:

@@ -456,6 +456,36 @@ class TestParameterChecks:
         with pytest.raises(ValueError, match=match):
             balanced_separator(grid_graph(4), "chop", h=h, delta=delta)
 
+    # an infinite delta used to return an empty cut (a single piece from
+    # chop_delta), and a NaN one blamed tau
+    @pytest.mark.parametrize("delta", BAD_DELTAS)
+    @pytest.mark.parametrize("cut", [cut_delta, chop_delta])
+    def test_cut_and_chop_delta(self, cut, delta):
+        with pytest.raises(ValueError, match="delta must be positive and "
+                                             "finite"):
+            cut(path_graph(6), np.ones(6), 0, 0.0, delta)
+
+    # a NaN or infinite measure used to pass as a balanced empty separator
+    @pytest.mark.parametrize("mu", [[math.nan] * 25,
+                                    [1.0] * 24 + [math.inf]])
+    def test_balanced_separator_mu(self, mu):
+        with pytest.raises(ValueError, match="mu must be a finite "
+                                             "nonnegative vector"):
+            balanced_separator(grid_graph(4), mu=mu)
+
+    # a bad omega used to surface as a RuntimeError on the first cut, or
+    # not at all when no component needed cutting
+    @pytest.mark.parametrize("omega, match", [
+        ([math.nan] * 6, "omega must be finite"),
+        ([1.0] * 5 + [-1.0], "omega must be nonnegative"),
+    ])
+    def test_chop_omega_checked_up_front(self, omega, match):
+        two_triangles = Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5),
+                                  (4, 5)])
+        for g in (path_graph(6), two_triangles):
+            with pytest.raises(ValueError, match=match):
+                balanced_separator(g, "chop", omega=omega)
+
 
 class TestPaddedPartition:
     def test_blocks_and_alpha(self):

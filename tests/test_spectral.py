@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.csgraph
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_connected_graph
@@ -75,6 +76,29 @@ class TestSpectrum:
         g = random_connected_graph(30, 5, extra_edges=20)
         dense = laplacian_matrix(g)
         assert np.allclose(laplacian_matrix(g, sparse=True).toarray(), dense)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        g=st.builds(
+            random_connected_graph,
+            n=st.integers(1, 40),
+            seed=st.integers(0, 10**6),
+            extra_edges=st.integers(0, 200),
+        ),
+        isolated=st.integers(0, 3),
+    )
+    def test_dense_matrix_is_csgraphs(self, g, isolated):
+        # written from the edge arrays, the dense matrix must equal the
+        # csgraph Laplacian exactly, isolated vertices included
+        g = Graph(g.n + isolated, g.edges)
+        want = scipy.sparse.csgraph.laplacian(g._structure()[2]).toarray()
+        got = laplacian_matrix(g)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("g", [Graph(0), Graph(1), Graph(3)])
+    def test_dense_matrix_edgeless(self, g):
+        assert np.array_equal(laplacian_matrix(g), np.zeros((g.n, g.n)))
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -8,7 +8,6 @@ default) keeps everything on the calling thread.
 """
 from __future__ import annotations
 
-import contextlib
 import io
 import json
 import math
@@ -23,7 +22,7 @@ from ._rng import substream_seed
 from .flows import _P1_MAX_N, cspread_lp
 from .generators import Instance, generate
 from .graph import connected_components
-from .partition import _reusing_lp, balanced_separator
+from .partition import balanced_separator
 
 __all__ = [
     "ExperimentRecord",
@@ -101,17 +100,12 @@ def separate(instance: Instance, method: str = "spectral", seed: int = 0,
     if delta is not None:
         params["delta"] = delta
     lp_value = None
-    solved = contextlib.nullcontext()
     t0 = time.perf_counter()
     if (method == "lp-round" and 1 < graph.n <= _P1_MAX_N
             and len(connected_components(graph)) == 1):
-        res = cspread_lp(graph, 1)
-        lp_value = float(res.value)
-        # the first lp-round cut is on this whole graph: solve it once
-        solved = _reusing_lp(graph, res)
-    with solved:
-        sep = balanced_separator(graph, strategy=method, seed=seed, h=h,
-                                 delta=delta)
+        lp_value = float(cspread_lp(graph, 1).value)
+    sep = balanced_separator(graph, strategy=method, seed=seed, h=h,
+                             delta=delta)
     wall = time.perf_counter() - t0
     comps = _validate_separator(graph, sep)
     balance = max((len(c) for c in comps), default=0) / max(graph.n, 1)

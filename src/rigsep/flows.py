@@ -27,6 +27,7 @@ above 54, rather than start solves of many minutes.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -277,6 +278,9 @@ def _require_small(graph: Graph, limit: float, what: str):
         raise ValueError(f"refusing {what} for n={graph.n} > {limit}")
 
 
+# one entry: an lp-round separation asks for its whole graph's LP twice,
+# for its lp_value and for its first cut
+@functools.lru_cache(maxsize=1)
 def _cspread_lp_exact(graph: Graph) -> SpreadLPResult:
     # variables: omega (n) then d[u, v] for ordered pairs, row-major.
     # Maximizing the mean of d subject to per-source edge relaxations is
@@ -324,6 +328,7 @@ def _cspread_lp_exact(graph: Graph) -> SpreadLPResult:
             f"LP value {value:.9g} disagrees with realized spread "
             f"{realized:.9g}"
         )
+    omega.flags.writeable = False  # the cached result is shared
     return SpreadLPResult(omega=omega, value=float(realized), p=1.0,
                           diagnostics=diag)
 
@@ -353,7 +358,9 @@ def cspread_lp(graph: Graph, p: float) -> SpreadLPResult:
     """Extremal conformal spread over weights with unit L^p norm.
 
     p = 1 solves the exact LP over joint (omega, distance) variables and
-    raises ValueError for graphs with more than 54 vertices.
+    raises ValueError for graphs with more than 54 vertices.  It keeps
+    its last result: a second call on an equal graph returns the same
+    object, whose ``omega`` is read-only.
 
     p = 2 is a min-norm routing problem.  A routing's cheapest path
     between u and v has d(u, v) = sum of omega over the path minus half

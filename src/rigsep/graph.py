@@ -20,6 +20,7 @@ import heapq
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -41,8 +42,9 @@ class Graph:
     __slots__ = ("_n", "_edges", "_adj", "_adj_masks", "_arrays")
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]] = ()):
-        if not isinstance(n, (int, np.integer)) or n < 0:
-            raise ValueError(f"vertex count must be a nonnegative int, got {n!r}")
+        if not _is_int(n) or n < 0:
+            raise ValueError(f"n (the vertex count) must be a nonnegative "
+                             f"int, got {n!r}")
         n = int(n)
         pairs = _edge_pairs(edges)
         a, b = pairs[:, 0], pairs[:, 1]
@@ -134,21 +136,34 @@ class Graph:
 
 def _edge_pairs(edges) -> np.ndarray:
     """The edges as an (m, 2) index array, one row per input edge.  A row
-    that is not a pair of vertex ids raises ``ValueError`` naming it."""
+    that is not a pair of vertex ids raises ``ValueError`` naming it; an
+    entry that is not an integer (a float, bool or string) raises one
+    naming ``edges``."""
     if not isinstance(edges, (np.ndarray, list, tuple)):
         edges = list(edges)
-    try:
-        pairs = np.asarray(edges, dtype=np.intp)
-    except (TypeError, ValueError, OverflowError) as exc:
-        pairs, error = None, exc
-    if pairs is not None and pairs.ndim == 2 and pairs.shape[1] == 2:
-        return pairs
     if len(edges) == 0:
         return np.empty((0, 2), dtype=np.intp)
-    for i, e in enumerate(edges):
-        if np.ndim(e) != 1 or len(e) != 2:
-            raise ValueError(f"edge {i} is {e!r}, not a pair of vertices")
-    raise ValueError(f"edges must be pairs of integer vertex ids: {error}")
+    try:
+        pairs = np.asarray(edges)
+    except ValueError:  # ragged rows
+        pairs = None
+    if pairs is None or pairs.ndim != 2 or pairs.shape[1] != 2:
+        for i, e in enumerate(edges):
+            try:
+                pair = np.ndim(e) == 1 and len(e) == 2
+            except ValueError:  # a ragged row
+                pair = False
+            if not pair:
+                raise ValueError(f"edge {i} is {e!r}, not a pair of vertices")
+    if pairs is None or pairs.dtype.kind not in "iu":
+        bad = "nested" if pairs is None else pairs.dtype
+    elif not isinstance(edges, np.ndarray) and {bool, np.bool_} & set(
+            map(type, chain.from_iterable(edges))):
+        bad = "bool"  # numpy reads a bool among ints as an int
+    else:
+        return pairs.astype(np.intp, copy=False)
+    raise ValueError(f"edges must be pairs of integer vertex ids, got {bad} "
+                     f"entries")
 
 
 def _csr(k: int, rows, cols, data) -> csr_matrix:
@@ -215,6 +230,18 @@ def check_weights(graph: Graph, omega, *, positive: bool = False) -> np.ndarray:
     if positive and np.any(w == 0):
         raise ValueError("omega must be strictly positive here")
     return w
+
+
+def _check_mu(graph: Graph, mu) -> np.ndarray:
+    """A vertex measure as a float array, unit when ``mu`` is None; it
+    must be finite, nonnegative and of length n."""
+    if mu is None:
+        return np.ones(graph.n)
+    mass = np.asarray(mu, dtype=float)
+    if (mass.shape != (graph.n,) or not np.all(np.isfinite(mass))
+            or np.any(mass < 0)):
+        raise ValueError("mu must be a finite nonnegative vector of length n")
+    return mass
 
 
 def l1_weight(omega) -> float:

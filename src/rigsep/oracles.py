@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, dist_omega, spread, subdivision
+from .graph import Graph, _check_mu, dist_omega, spread, subdivision
 
 __all__ = [
     "MinorWitness",
@@ -42,12 +42,7 @@ def vertex_expansion_exact(graph: Graph, mu=None, *, max_n: int = 20):
     n = graph.n
     if n > max_n:
         raise ValueError(f"refusing exhaustive enumeration for n={n} > {max_n}")
-    if mu is None:
-        w = np.ones(n)
-    else:
-        w = np.asarray(mu, dtype=float)
-        if w.shape != (n,) or np.any(w < 0):
-            raise ValueError("mu must be a nonnegative vector of length n")
+    w = _check_mu(graph, mu)
     half = w.sum() / 2.0
 
     adj = np.array(graph.adjacency_masks(), dtype=np.uint64)
@@ -106,10 +101,7 @@ def min_balanced_separator_exact(graph: Graph, mu=None, *, max_n: int = 18):
     n = graph.n
     if n > max_n:
         raise ValueError(f"refusing exhaustive search for n={n} > {max_n}")
-    if mu is None:
-        w = [1.0] * n
-    else:
-        w = [float(x) for x in mu]
+    w = _check_mu(graph, mu).tolist()
     total = sum(w)
     adj = [int(m) for m in graph.adjacency_masks()]
 

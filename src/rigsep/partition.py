@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +25,7 @@ from .graph import (
     LIPSCHITZ_TOL,
     Graph,
     MetricView,
+    _check_mu,
     _length_matrix,
     _vertex_array,
     check_weights,
@@ -771,8 +770,7 @@ def vertex_expansion_witnesses(graph: Graph, u_set):
     u = sorted({int(v) for v in u_set})
     if not u:
         raise ValueError("U must be nonempty")
-    inside = set(u)
-    boundary = [v for v in u if any(nb not in inside for nb in graph.neighbors(v))]
+    boundary = _boundary(graph, u)
     if not boundary:
         raise ValueError("U has no boundary (is it the whole graph?)")
     n = graph.n
@@ -804,56 +802,32 @@ def vertex_expansion_witnesses(graph: Graph, u_set):
 # ---------------------------------------------------------------------------
 # balanced separator driver
 
-def _cut_spectral(graph: Graph, comp, seed):
-    from .spectral import spectral_bisection
-
-    if len(comp) == 1:
-        return set(comp)
-    view = induced_subgraph(graph, comp)
-    sep = spectral_bisection(view.graph)
-    if not sep:
-        return {comp[0]}
-    return {view.to_parent(v) for v in sep}
+def _boundary(graph: Graph, u_set) -> list:
+    """The vertices of U with a neighbour outside U, ascending."""
+    inside = set(u_set)
+    return sorted(v for v in inside
+                  if any(nb not in inside for nb in graph.neighbors(v)))
 
 
-# (graph, cspread_lp(graph, 1)) while a caller that already solved it runs
-_SOLVED_LP: ContextVar = ContextVar("_SOLVED_LP", default=None)
-
-
-@contextmanager
-def _reusing_lp(graph: Graph, result):
-    """Inside the block, an lp-round cut of a component equal to ``graph``
-    takes ``result`` instead of solving ``cspread_lp(graph, 1)`` again."""
-    token = _SOLVED_LP.set((graph, result))
-    try:
-        yield
-    finally:
-        _SOLVED_LP.reset(token)
-
-
-def _cut_lp_round(graph: Graph, comp, seed):
+def _cut_lp_round(view, seed, omega, h, delta):
     from .flows import _P1_MAX_N, cspread_lp
 
+    local = view.graph
     # beyond the joint (omega, distance) LP's size bound the spectral cut
     # stands in
-    if len(comp) > _P1_MAX_N:
-        return _cut_spectral(graph, comp, seed)
-    view = induced_subgraph(graph, comp)
-    local = view.graph
-    solved = _SOLVED_LP.get()
-    if solved is not None and solved[0] == local:
-        res = solved[1]
-    else:
-        res = cspread_lp(local, 1)
-    w = res.omega
+    if local.n > _P1_MAX_N:
+        return None
+    # the first cut of bench.separate is on the graph whose LP it has just
+    # solved, and cspread_lp keeps that one result
+    w = cspread_lp(local, 1).omega
     mv = dist_omega(local, w)
     sp = spread(mv)
     if sp <= 0:
-        return _cut_spectral(graph, comp, seed)
+        return None
     if local.n <= 40:
         centers = list(range(local.n))
     else:
-        rng = substream(seed, "lp-centers", comp[0])
+        rng = substream(seed, "lp-centers", view.vertices[0])
         centers = sorted(rng.choice(local.n, size=16, replace=False))
     best = None
     swept = set()
@@ -868,31 +842,25 @@ def _cut_lp_round(graph: Graph, comp, seed):
         u_set, ratio = sweep_cut(local, w, f)
         if u_set and (best is None or ratio < best[0]):
             best = (ratio, u_set)
-    if best is None:
-        return _cut_spectral(graph, comp, seed)
-    _, u_set = best
-    inside = set(u_set)
-    boundary = {v for v in u_set
-                if any(nb not in inside for nb in local.neighbors(v))}
-    if not boundary:
-        return _cut_spectral(graph, comp, seed)
-    return {view.to_parent(v) for v in boundary}
+    return None if best is None else _boundary(local, best[1])
 
 
-def _cut_chop(graph: Graph, comp, seed, *, omega=None, h=2, rounds=4,
-              delta0=None):
+# scales tried per chop cut, each half the one before
+_CHOP_ROUNDS = 4
+
+
+def _cut_chop(view, seed, omega, h, delta):
     """Random-chopping cut: sphere shards at random radii plus, when the
     scale supports it, the full random-separator / coloring-map sweep.
+    The scales run down from ``delta`` (else half the diameter).
     Candidates are ranked balanced-first, then by size."""
-    view = induced_subgraph(graph, comp)
     local = view.graph
     nloc = local.n
-    w = np.ones(nloc) if omega is None else np.asarray(
-        [omega[v] for v in view.vertices], dtype=float)
+    w = np.ones(nloc) if omega is None else omega[list(view.vertices)]
     mv = dist_omega(local, w)
     diam = float(np.max(mv.matrix()))
     if diam <= 0:
-        return _cut_spectral(graph, comp, seed)
+        return None
 
     candidates: list = []
 
@@ -907,22 +875,20 @@ def _cut_chop(graph: Graph, comp, seed, *, omega=None, h=2, rounds=4,
         candidates.append((balanced, len(s), len(candidates),
                            tuple(sorted(s))))
 
-    for t in range(rounds):
-        if delta0 is not None:
-            delta = delta0 / 2.0 ** t
-        else:
-            delta = diam / 2.0 ** (t + 1)
-        if delta <= 0:
+    top = diam / 2.0 if delta is None else delta
+    for t in range(_CHOP_ROUNDS):
+        scale = top / 2.0 ** t
+        if scale <= 0:
             break
-        rng = substream(seed, "chop", comp[0], t)
+        rng = substream(seed, "chop", view.vertices[0], t)
         for _ in range(4):
             center = int(rng.integers(nloc))
-            tau = float(rng.uniform(0.0, delta))
-            consider(cut_delta(local, w, center, tau, delta, metric=mv))
-        # the deep pipeline only bites when delta clears every weight
-        if delta <= float(np.max(w)):
+            tau = float(rng.uniform(0.0, scale))
+            consider(cut_delta(local, w, center, tau, scale, metric=mv))
+        # the deep pipeline only bites when the scale clears every weight
+        if scale <= float(np.max(w)):
             continue
-        sample = random_separator(local, w, delta, h,
+        sample = random_separator(local, w, scale, h,
                                   int(rng.integers(1 << 62)), metric=mv)
         padded = padded_partition(local, w, sample)
         if len(padded.blocks) == 1:
@@ -931,14 +897,9 @@ def _cut_chop(graph: Graph, comp, seed, *, omega=None, h=2, rounds=4,
                                   int(rng.integers(1 << 62)), metric=mv)
         u_set, _ratio = sweep_cut(local, w, f)
         if u_set:
-            inside = set(u_set)
-            consider(v for v in u_set
-                     if any(nb not in inside for nb in local.neighbors(v)))
+            consider(_boundary(local, u_set))
 
-    if not candidates:
-        return _cut_spectral(graph, comp, seed)
-    _, _, _, s = min(candidates)
-    return {view.to_parent(v) for v in s}
+    return min(candidates)[3] if candidates else None
 
 
 def _prune_separator(graph: Graph, mass, limit: float, s: set) -> set:
@@ -976,8 +937,10 @@ def _prune_separator(graph: Graph, mass, limit: float, s: set) -> set:
     return s
 
 
+# a cut maps (view, seed, omega, h, delta) to local ids of view.graph, or
+# None for the spectral stand-in; spectral is that stand-in alone
 _STRATEGIES = {
-    "spectral": _cut_spectral,
+    "spectral": None,
     "lp-round": _cut_lp_round,
     "chop": _cut_chop,
 }
@@ -997,10 +960,19 @@ def balanced_separator(graph: Graph, strategy: str = "spectral", mu=None, *,
     ``omega`` (vertex weights, unit by default), ``h`` (an integer, at
     least 1) and ``delta`` (positive and finite, or None for a schedule
     from the component's diameter); the other strategies ignore them.
+
+    Every cut sees one ``view = induced_subgraph(graph, comp)`` and
+    returns ids local to ``view.graph``, which the driver maps back with
+    ``view.to_parent``.  When a strategy returns None or an empty cut,
+    the driver takes ``spectral_bisection(view.graph)`` instead, and the
+    view's first vertex when that is empty too (a single vertex).
     """
+    from .spectral import spectral_bisection
+
     if strategy not in _STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; "
                          f"choose from {sorted(_STRATEGIES)}")
+    cut_fn = _STRATEGIES[strategy]
     if strategy == "chop":
         # checked up front: a bad value would otherwise surface as a
         # failure on the first component cut, or not at all
@@ -1010,14 +982,7 @@ def balanced_separator(graph: Graph, strategy: str = "spectral", mu=None, *,
         if omega is not None:
             omega = check_weights(graph, omega)
     n = graph.n
-    if mu is None:
-        mass = np.ones(n)
-    else:
-        mass = np.asarray(mu, dtype=float)
-        if (mass.shape != (n,) or not np.all(np.isfinite(mass))
-                or np.any(mass < 0)):
-            raise ValueError("mu must be a finite nonnegative vector of "
-                             "length n")
+    mass = _check_mu(graph, mu)
     total = float(mass.sum())
     limit = 2.0 * total / 3.0 + 1e-12
 
@@ -1030,19 +995,14 @@ def balanced_separator(graph: Graph, strategy: str = "spectral", mu=None, *,
         work.sort(key=weight)
         comp = work.pop()
         try:
-            if strategy == "chop":
-                cut = _cut_chop(graph, comp, seed, omega=omega, h=h,
-                                delta0=delta)
-            else:
-                cut = _STRATEGIES[strategy](graph, comp, seed)
+            view = induced_subgraph(graph, comp)
+            cut = cut_fn(view, seed, omega, h, delta) if cut_fn else None
+            cut = cut or spectral_bisection(view.graph) or (0,)
         except Exception as exc:
             raise RuntimeError(
                 f"strategy {strategy!r} failed on component {comp}"
             ) from exc
-        if not cut:
-            raise RuntimeError(
-                f"strategy {strategy!r} returned an empty cut on {comp}"
-            )
+        cut = {view.to_parent(v) for v in cut}
         s.update(cut)
         rest = [v for v in comp if v not in cut]
         for piece in connected_components(graph, subset=rest):

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rigsep import bench, partition
+from rigsep import bench, flows, partition
 from rigsep.bench import (
     ExperimentRecord,
     fmt_exponent,
@@ -17,7 +17,7 @@ from rigsep.bench import (
     worker_count,
 )
 from rigsep.cli import main
-from rigsep.flows import cspread_lp
+from rigsep.flows import _P1_MAX_N, cspread_lp
 from rigsep.generators import GENERATOR_KINDS, Instance, generate, instance_regions
 from rigsep.graph import complete_graph, connected_components, path_graph
 from rigsep.oracles import min_balanced_separator_exact
@@ -115,6 +115,23 @@ FROZEN_CHOP = {
     ],
 }
 
+# separate(generate("gnp", n, seed), "lp-round", seed=seed) for seeds 0..2
+# above the LP's size bound: the spectral cut stands in for the whole
+# graph, and no lp_value is recorded
+FROZEN_LP_ROUND_STAND_IN = {
+    60: [
+        (1, 2, 11, 13, 20, 23, 26, 27, 29, 35, 36, 38, 39, 48, 52, 53),
+        (0, 3, 7, 9, 16, 23, 30, 35, 37, 43, 54, 57, 58),
+        (3, 12, 17, 20, 25, 40, 43, 46, 48, 50, 51, 55, 56, 57, 59),
+    ],
+    80: [
+        (1, 3, 6, 9, 15, 17, 20, 21, 25, 29, 33, 41, 48, 52, 65, 69, 71),
+        (3, 9, 12, 14, 15, 16, 24, 40, 46, 47, 50, 52, 54, 61, 63, 74, 79),
+        (0, 6, 7, 10, 15, 18, 26, 28, 31, 32, 33, 34, 39, 41, 45, 62, 64,
+         69),
+    ],
+}
+
 
 class TestSeparate:
     def test_path_midpoint_record(self):
@@ -164,6 +181,40 @@ class TestSeparate:
                 sep, _, _ = separate(generate(kind, size, seed), "chop",
                                      seed=seed)
                 assert sep == want, (kind, size, seed)
+
+    def test_frozen_lp_round_stand_in(self):
+        for n, seps in FROZEN_LP_ROUND_STAND_IN.items():
+            assert n > _P1_MAX_N
+            for seed, want in enumerate(seps):
+                sep, _, rec = separate(generate("gnp", n, seed), "lp-round",
+                                       seed=seed)
+                assert sep == want, (n, seed)
+                assert rec.lp_value is None
+
+    def test_lp_round_solves_each_lp_once(self, monkeypatch):
+        # lp_value and the first cut are the same whole-graph LP
+        for seed in range(3):
+            flows._cspread_lp_exact.cache_clear()
+            cut_graphs, solves = [], []
+            solve, view_of = flows.linprog, partition.induced_subgraph
+
+            def count_solve(*args, **kwargs):
+                solves.append(1)
+                return solve(*args, **kwargs)
+
+            def record_view(graph, comp):
+                view = view_of(graph, comp)
+                cut_graphs.append(view.graph)
+                return view
+
+            monkeypatch.setattr(flows, "linprog", count_solve)
+            monkeypatch.setattr(partition, "induced_subgraph", record_view)
+            inst = generate("gnp", 14, seed)
+            _, _, rec = separate(inst, "lp-round", seed=seed)
+            monkeypatch.undo()
+            assert cut_graphs[0] == inst.graph
+            assert len(solves) == len(set(cut_graphs)), seed
+            assert rec.lp_value == cspread_lp(inst.graph, 1).value
 
     def test_components_respect_balance(self):
         inst = generate("gnp", 40, seed=7)

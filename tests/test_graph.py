@@ -206,6 +206,33 @@ class TestConstructorMatchesLoop:
         with pytest.raises(ValueError, match=f"edge {row} is .*not a pair"):
             Graph(6, edges)
 
+    # each of these built a graph: the bool as one vertex, and the
+    # entries truncated to (0, 1), read as (1, 2) and parsed to (0, 1)
+    @pytest.mark.parametrize("edges, got", [
+        ([[0, 1.5]], "float64"),
+        ([[True, 2]], "bool"),
+        ([[0, 1], [np.True_, 2]], "bool"),
+        ([["0", "1"]], "<U1"),
+        (np.array([[0.0, 1.0], [1.0, 2.0]]), "float64"),
+        (np.array([[0.0, 1.0]], dtype=np.float32), "float32"),
+    ])
+    def test_non_integer_edges_raise(self, edges, got):
+        with pytest.raises(ValueError, match="edges must be pairs of integer "
+                                             f"vertex ids, got {got} entries"):
+            Graph(3, edges)
+
+    # numpy's own error, which named neither the row nor the parameter
+    def test_ragged_row_is_named(self):
+        with pytest.raises(ValueError, match=r"edge 1 is \(0, \[1, 2\]\), "
+                                             "not a pair"):
+            Graph(3, [(0, 1), (0, [1, 2])])
+
+    @pytest.mark.parametrize("n", [True, False, 2.0, -1])
+    def test_vertex_count_must_be_an_int(self, n):
+        with pytest.raises(ValueError, match=r"n \(the vertex count\) must "
+                                             "be a nonnegative int"):
+            Graph(n, [])
+
     def test_length_matrix_keeps_zero_length_edges(self):
         g = path_graph(3)
         w = np.array([0.0, 0.0, 1.0])

@@ -114,6 +114,29 @@ class TestBalancedSeparator:
             min_balanced_separator_exact(grid_graph(4))
 
 
+class TestMeasureContract:
+    """Both oracles reject a measure that is not a finite, nonnegative,
+    length-n vector, as balanced_separator does."""
+
+    # vertex_expansion_exact answered (inf, ()) for the first two, and
+    # min_balanced_separator_exact answered every one: (6, (0..5)) for
+    # all NaN, (0, ()) for one inf, an IndexError for a short mu
+    BAD_MU = {
+        "all NaN": [math.nan] * 6,
+        "one inf": [1.0] * 5 + [math.inf],
+        "short": [1.0] * 5,
+        "negative": [1.0] * 5 + [-1.0],
+    }
+
+    @pytest.mark.parametrize("mu", BAD_MU.values(), ids=BAD_MU.keys())
+    @pytest.mark.parametrize("oracle", [vertex_expansion_exact,
+                                        min_balanced_separator_exact])
+    def test_bad_mu(self, oracle, mu):
+        with pytest.raises(ValueError, match="mu must be a finite "
+                                             "nonnegative vector of length n"):
+            oracle(path_graph(6), mu=mu)
+
+
 class TestMinors:
     def test_frozen_presence(self):
         tree = Graph(5, [(0, 1), (1, 2), (1, 3), (3, 4)])

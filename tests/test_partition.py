@@ -921,6 +921,69 @@ class TestBalancedSeparatorDriver:
                                       delta=-1.0) == \
                 balanced_separator(grid_graph(4), strategy=strategy)
 
+    # balanced_separator(generate(kind, size, 4).graph, "chop", omega=w,
+    # h=3, delta=delta, seed=seed) for seeds 0..2, w drawn below: delta 6
+    # starts the halving schedule above every weight, so its first scales
+    # run the random separator, and delta 1.5 starts it below
+    FROZEN_CHOP_SCHEDULE = {
+        ("grid", 8, None): [
+            (10, 11, 12, 13, 18, 23, 24, 34, 44, 80),
+            (0, 10, 20, 21, 31, 40, 50, 59, 67, 76),
+            (4, 13, 21, 29, 38, 47, 56, 66, 76),
+        ],
+        ("grid", 8, 6.0): [
+            (19, 20, 21, 27, 31, 32, 42, 52, 62, 70, 78),
+            (4, 14, 24, 34, 42, 50, 54, 56, 58, 64, 66),
+            (1, 5, 9, 14, 22, 30, 39, 48, 58, 67, 77),
+        ],
+        ("random-segments", 30, 1.5): [
+            (9, 16, 20, 21, 22, 23, 24, 25, 27, 29),
+            (6, 8, 9, 20, 21, 22, 23, 25, 27, 29),
+            (2, 7, 11, 16, 19, 20, 21, 22, 24),
+        ],
+    }
+
+    def test_frozen_chop_weights_and_schedule(self):
+        for (kind, size, delta), seps in self.FROZEN_CHOP_SCHEDULE.items():
+            g = generate(kind, size, 4).graph
+            w = substream(5, "frozen-omega").uniform(0.5, 2.0, size=g.n)
+            for seed, want in enumerate(seps):
+                got = balanced_separator(g, "chop", omega=w, h=3,
+                                         delta=delta, seed=seed)
+                assert got == want, (kind, size, delta, seed)
+
+    # one vertex holds more than 2/3 of the mass, so it ends in the
+    # separator; some cuts reach its singleton component, where every
+    # strategy falls back to the driver's last resort, the one vertex (on
+    # the isolated vertex of "grid+1" all three start there)
+    FROZEN_HEAVY_VERTEX = {
+        ("grid+1", 25, 100.0): {
+            "spectral": (25,), "lp-round": (25,), "chop": (25,),
+        },
+        ("grid", 6, 100.0): {
+            "spectral": (1, 6, 7, 10, 13, 18, 24),
+            "lp-round": (2, 6, 8, 9, 10, 12, 16, 21),
+            "chop": (1, 3, 6, 7, 10, 11, 17, 23),
+        },
+        ("gnp", 7, 50.0): {
+            "spectral": (7, 8, 9, 10, 11, 14, 19),
+            "lp-round": (0, 7, 8, 9, 10, 11, 14),
+            "chop": (7, 8, 10, 19),
+        },
+    }
+
+    def test_frozen_heavy_vertex(self):
+        graphs = {"grid": grid_graph(4), "gnp": generate("gnp", 20, 3).graph,
+                  "grid+1": Graph(26, grid_graph(4).edges)}
+        for (kind, heavy, m), seps in self.FROZEN_HEAVY_VERTEX.items():
+            g = graphs[kind]
+            mu = np.ones(g.n)
+            mu[heavy] = m
+            for strategy, want in seps.items():
+                got = balanced_separator(g, strategy, mu=mu, seed=1)
+                assert got == want, (kind, strategy)
+                assert heavy in got
+
     @settings(max_examples=15, deadline=None)
     @given(
         g=st.builds(
